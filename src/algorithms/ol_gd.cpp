@@ -6,8 +6,6 @@
 #include "common/error.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "core/lp_formulation.h"
-#include "lp/simplex.h"
 #include "net/base_station.h"
 
 namespace mecsc::algorithms {
@@ -28,14 +26,6 @@ core::BanditState make_bandit(const core::CachingProblem& problem,
   return core::BanditState(std::move(priors));
 }
 
-// The tier decide() dispatches on, resolved once at construction (a
-// mid-run setenv cannot desynchronise replications). The legacy
-// use_exact_lp flag is the code-level spelling of kSimplex and wins.
-core::SolverTier resolve_tier(const OlOptions& options) {
-  if (options.use_exact_lp) return core::SolverTier::kSimplex;
-  return core::resolve_solver_tier(options.solver);
-}
-
 }  // namespace
 
 OnlineCachingAlgorithm::OnlineCachingAlgorithm(std::string name,
@@ -48,7 +38,7 @@ OnlineCachingAlgorithm::OnlineCachingAlgorithm(std::string name,
       options_(options),
       solver_(problem),
       lag_solver_(problem, options.lagrangian),
-      solver_tier_(resolve_tier(options)),
+      solver_tier_(core::resolve_solver_tier(options.solver)),
       bandit_(make_bandit(problem, options)),
       rng_(seed),
       aggregate_mode_(core::resolve_aggregate_mode(options.aggregate)) {
@@ -68,7 +58,7 @@ OnlineCachingAlgorithm::OnlineCachingAlgorithm(
       options_(options),
       solver_(problem),
       lag_solver_(problem, options.lagrangian),
-      solver_tier_(resolve_tier(options)),
+      solver_tier_(core::resolve_solver_tier(options.solver)),
       bandit_(make_bandit(problem, options)),
       rng_(seed),
       aggregate_mode_(core::resolve_aggregate_mode(options.aggregate)) {
@@ -85,7 +75,7 @@ OnlineCachingAlgorithm::OnlineCachingAlgorithm(std::string name,
       options_(options),
       solver_(problem),
       lag_solver_(problem, options.lagrangian),
-      solver_tier_(resolve_tier(options)),
+      solver_tier_(core::resolve_solver_tier(options.solver)),
       bandit_(make_bandit(problem, options)),
       rng_(seed),
       aggregate_mode_(core::resolve_aggregate_mode(options.aggregate)) {}
@@ -102,7 +92,6 @@ OlGdState OnlineCachingAlgorithm::export_state() const {
   state.bandit_plays = bandit_.play_counts();
   state.bandit_total_plays = bandit_.total_plays();
   state.rng_stream = rng_.save_state();
-  state.lp_warm = lp_workspace_.export_warm_state();
   state.solver_warm = solver_.export_warm_state();
   state.lag_warm = lag_solver_.export_warm_state();
   return state;
@@ -113,7 +102,6 @@ void OnlineCachingAlgorithm::import_state(const OlGdState& state) {
                   state.bandit_total_plays);
   MECSC_CHECK_MSG(rng_.restore_state(state.rng_stream),
                   "corrupt RNG stream in algorithm state");
-  lp_workspace_.import_warm_state(state.lp_warm);
   solver_.import_warm_state(state.solver_warm);
   lag_solver_.import_warm_state(state.lag_warm);
 }
@@ -145,20 +133,13 @@ core::Assignment OnlineCachingAlgorithm::decide(std::size_t t) {
     }
   }
 
-  // Solver fallback chain (graceful degradation, DESIGN.md §9):
-  //   depth 0  warm-start simplex (exact-LP path) / min-cost flow;
-  //   depth 1  cold simplex restart under Bland's rule (guaranteed to
-  //            terminate — shakes off cycling and a poisoned warm basis);
-  //   depth 2  flow-based degraded solve: route what fits, place the
-  //            rest greedily. decide() never throws out of the slot loop
-  //            for solver reasons.
-  // Demand-class aggregation (DESIGN.md §11): solve over classes, round
-  // by de-aggregation. The fallback chain below is mirrored per path.
+  // 1. Columns (DESIGN.md §11): demand classes when aggregation resolves
+  //    on, one singleton class per request otherwise. Everything below
+  //    runs the same code either way.
   const bool aggregate =
       aggregate_mode_ == core::AggregateMode::kOn ||
       (aggregate_mode_ == core::AggregateMode::kAuto &&
        problem_->num_requests() >= options_.aggregation.auto_threshold);
-  last_num_classes_ = 0;
   if (aggregate) {
     classing_.build(*problem_, last_demands_, options_.aggregation);
     last_num_classes_ = classing_.num_classes();
@@ -167,81 +148,56 @@ core::Assignment OnlineCachingAlgorithm::decide(std::size_t t) {
     MECSC_GAUGE_SET("agg.compression_ratio", classing_.compression_ratio());
     MECSC_HISTOGRAM("agg.classes_per_slot",
                     static_cast<double>(last_num_classes_));
+  } else {
+    classing_.build_singletons(*problem_, last_demands_);
+    last_num_classes_ = 0;
   }
 
-  // Solver-tier dispatch (DESIGN.md §16): kAuto resolves per slot by
-  // column count — the Lagrangian decomposition only pays for itself
-  // once the column universe is large; below the threshold the flow
-  // path is already exact and fast.
+  // Solver tier (DESIGN.md §16): kAuto resolves per slot by column count
+  // — the Lagrangian decomposition only pays for itself once the column
+  // universe is large; below the threshold the flow path is already
+  // exact and fast.
   core::SolverTier tier = solver_tier_;
   if (tier == core::SolverTier::kAuto) {
-    const std::size_t columns =
-        aggregate ? last_num_classes_ : problem_->num_requests();
-    tier = columns >= options_.lagrangian.auto_threshold
+    tier = classing_.num_classes() >= options_.lagrangian.auto_threshold
                ? core::SolverTier::kLagrangian
                : core::SolverTier::kFlow;
   }
   last_solver_tier_ = tier;
 
+  // 2.-3. Solver fallback chain (graceful degradation, DESIGN.md §9):
+  //   depth 0  the primary solve (Lagrangian or flow);
+  //   depth 1  a Lagrangian gap miss, answered by the flow solve;
+  //   depth 2  a degraded flow solve (route what fits, place the rest
+  //            greedily), or a watchdog/replay hint that skips the
+  //            Lagrangian solve. The flow tier ignores the hint: its
+  //            primary solve already degrades in place.
+  // decide() never throws out of the slot loop for solver reasons.
   core::FractionalSolution frac;
+  bool solved = false;
   last_fallback_depth_ = 0;
   const int hint = decide_hint_;
   decide_hint_ = 0;
-  if (tier != core::SolverTier::kFlow && hint >= 2) {
-    // Watchdog/replay hint: skip the primary solver entirely and decide
-    // this slot on the (much cheaper) degraded flow path. The flow tier
-    // ignores the hint — its primary solve *is* the degraded flow solve.
-    last_fallback_depth_ = 2;
-    core::SolveReport report;
-    frac = aggregate ? solver_.solve_classes(classing_, theta, &report)
-                     : solver_.solve_degraded(last_demands_, theta);
-  } else if (tier == core::SolverTier::kSimplex) {
-    // The aggregated model has one x row per class, so its shape varies
-    // slot to slot; the workspace shape check cold-starts the simplex
-    // whenever the class count changes.
-    core::LpFormulation lp =
-        aggregate ? core::LpFormulation(*problem_, classing_, theta)
-                  : core::LpFormulation(*problem_, last_demands_, theta);
-    lp::SimplexOptions primary;
-    primary.max_iterations = options_.lp_max_iterations;
-    core::LpSolveOutcome out = lp.try_solve(lp::SimplexSolver(primary), lp_workspace_);
-    if (out.status != lp::SolveStatus::kOptimal) {
-      last_fallback_depth_ = 1;
-      lp_workspace_.clear_warm_start();
-      lp::SimplexOptions bland;
-      bland.bland_after = 0;  // Bland's rule from the first pivot
-      out = lp.try_solve(lp::SimplexSolver(bland), lp_workspace_);
-    }
-    if (out.status == lp::SolveStatus::kOptimal) {
-      frac = std::move(out.solution);
-    } else {
+  if (tier == core::SolverTier::kLagrangian) {
+    if (hint >= 2) {
       last_fallback_depth_ = 2;
-      core::SolveReport report;
-      frac = aggregate ? solver_.solve_classes(classing_, theta, &report)
-                       : solver_.solve_degraded(last_demands_, theta);
-    }
-  } else if (tier == core::SolverTier::kLagrangian) {
-    core::LagrangianOutcome out = aggregate
-                                      ? lag_solver_.solve_classes(classing_, theta)
-                                      : lag_solver_.solve(last_demands_, theta);
-    if (out.converged) {
-      frac = std::move(out.solution);
     } else {
-      // Duality-gap target missed within the iteration cap (or the
-      // instance is too close to capacity for the relaxation's repair
-      // slack): fall back to the exact flow path, which degrades
-      // gracefully in place if the instance is outright infeasible.
-      MECSC_COUNT("lag.fallbacks", 1.0);
-      last_fallback_depth_ = 1;
-      core::SolveReport report;
-      frac = aggregate ? solver_.solve_classes(classing_, theta, &report)
-                       : solver_.solve_degraded(last_demands_, theta, &report);
-      if (report.degraded) last_fallback_depth_ = 2;
+      core::LagrangianOutcome out = lag_solver_.solve_classes(classing_, theta);
+      if (out.converged) {
+        frac = std::move(out.solution);
+        solved = true;
+      } else {
+        // Duality-gap target missed within the iteration cap (or the
+        // instance is too close to capacity for the relaxation's repair
+        // slack).
+        MECSC_COUNT("lag.fallbacks", 1.0);
+        last_fallback_depth_ = 1;
+      }
     }
-  } else {
+  }
+  if (!solved) {
     core::SolveReport report;
-    frac = aggregate ? solver_.solve_classes(classing_, theta, &report)
-                     : solver_.solve_degraded(last_demands_, theta, &report);
+    frac = solver_.solve_classes(classing_, theta, &report);
     if (report.degraded) last_fallback_depth_ = 2;
   }
   if (last_fallback_depth_ > 0) {
@@ -257,11 +213,9 @@ core::Assignment OnlineCachingAlgorithm::decide(std::size_t t) {
   MECSC_COUNT("olgd.decides", 1.0);
   MECSC_GAUGE_SET("olgd.epsilon", ropt.epsilon);  // ε trajectory's tail
   MECSC_HISTOGRAM("olgd.epsilon_trajectory", ropt.epsilon);
-  if (aggregate) {
-    return core::round_assignment_aggregated(*problem_, frac, classing_,
-                                             last_demands_, theta, ropt, rng_);
-  }
-  return core::round_assignment(*problem_, frac, last_demands_, theta, ropt, rng_);
+  // 4. Round: every request against its class's row.
+  return core::round_assignment_aggregated(*problem_, frac, classing_,
+                                           last_demands_, theta, ropt, rng_);
 }
 
 void OnlineCachingAlgorithm::observe(std::size_t t, const core::Assignment& decision,

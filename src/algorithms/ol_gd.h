@@ -14,7 +14,6 @@
 #include "core/problem.h"
 #include "core/rounding.h"
 #include "core/solver_tier.h"
-#include "lp/simplex.h"
 #include "predict/predictor.h"
 #include "workload/demand_model.h"
 
@@ -41,14 +40,6 @@ struct OlOptions {
   /// One exploration coin per slot (Algorithm 1 verbatim) instead of one
   /// per request (library default; see RoundingOptions::per_slot_coin).
   bool per_slot_coin = false;
-  /// Solve the per-slot LP exactly with the dense simplex instead of the
-  /// flow-based solver (small instances / ablations only).
-  bool use_exact_lp = false;
-  /// Hard pivot cap handed to the exact-LP simplex (0 = solver
-  /// automatic). Mainly a test seam: setting it very low forces
-  /// kIterationLimit at fallback depth 0 and exercises the degradation
-  /// chain below.
-  std::size_t lp_max_iterations = 0;
   /// Optimism-in-the-face-of-uncertainty extension: when > 0, the LP is
   /// solved with the lower confidence bound
   ///     θ̃_i = max(0, θ_i − β·sqrt(ln(t+1) / m_i))
@@ -58,17 +49,16 @@ struct OlOptions {
   /// bandit. Combine with EpsilonSchedule::zero() for pure UCB.
   double ucb_beta = 0.0;
   /// Demand-class aggregation (DESIGN.md §11): formulate the per-slot LP
-  /// over (service, home station, demand bucket) classes instead of
-  /// individual requests and de-aggregate during rounding. kEnv (the
-  /// default) defers to MECSC_AGGREGATE; an explicit kOff/kAuto/kOn set
-  /// in code always wins over the environment.
+  /// over (service, home station, demand bucket) classes instead of one
+  /// singleton class per request, and de-aggregate during rounding. kEnv
+  /// (the default) defers to MECSC_AGGREGATE; an explicit kOff/kAuto/kOn
+  /// set in code always wins over the environment.
   core::AggregateMode aggregate = core::AggregateMode::kEnv;
   /// Class-construction tunables used when aggregation is active.
   core::AggregationOptions aggregation;
   /// Which solver answers the per-slot LP (DESIGN.md §16). kEnv (the
   /// default) defers to MECSC_SOLVER; an explicit tier set in code wins
-  /// over the environment. `use_exact_lp = true` above is the legacy
-  /// spelling of kSimplex and takes precedence when set.
+  /// over the environment.
   core::SolverTier solver = core::SolverTier::kEnv;
   /// Lagrangian-tier tunables (iteration cap, target duality gap, kAuto
   /// column threshold); defaults resolve MECSC_LAG_ITERS / MECSC_LAG_GAP
@@ -78,7 +68,7 @@ struct OlOptions {
 
 /// Complete cross-slot decision state of an OnlineCachingAlgorithm — the
 /// bandit statistics, the rounding RNG's stream position, and both
-/// solver warm states. Exporting this after slot t and importing it into
+/// solvers' warm states. Exporting this after slot t and importing it into
 /// a freshly constructed algorithm makes its slot t+1 decisions
 /// bit-for-bit identical to the uninterrupted run's, which is the
 /// contract the serve checkpoint/resume path is built on.
@@ -87,15 +77,17 @@ struct OlGdState {
   std::vector<std::size_t> bandit_plays;   ///< Per-arm pull counts.
   std::size_t bandit_total_plays = 0;      ///< Total pulls (UCB time).
   std::string rng_stream;                  ///< Rounding RNG stream state.
-  lp::SimplexWarmState lp_warm;            ///< Simplex warm-start basis.
   core::FractionalWarmState solver_warm;   ///< Flow-solver warm state.
   core::LagrangianWarmState lag_warm;      ///< Lagrangian duals λ + step.
 };
 
 /// The paper's online learning algorithm (Algorithm 1, OL_GD) and its
 /// prediction-driven variants (Algorithm 2): per slot,
-///  1. obtain demands — given (OL_GD) or predicted (OL_Reg / OL_GAN);
-///  2. solve the LP relaxation of Eq. 3 under the bandit estimates θ;
+///  1. obtain demands — given (OL_GD) or predicted (OL_Reg / OL_GAN) —
+///     and build the slot's LP columns: demand classes when aggregation
+///     resolves on, one singleton class per request otherwise;
+///  2. solve the LP relaxation of Eq. 3 under the bandit estimates θ,
+///     through the solver fallback chain (see last_fallback_depth());
 ///  3. build candidate sets BS_l^candi = {i | x*_li >= γ};
 ///  4. ε-greedy randomized rounding (exploit candidates ∝ x*, explore
 ///     random non-candidates);
@@ -146,20 +138,22 @@ class OnlineCachingAlgorithm final : public CachingAlgorithm {
   /// for tests and prediction-accuracy accounting.
   const std::vector<double>& last_demands() const noexcept { return last_demands_; }
 
-  /// How far down the solver fallback chain the latest decide() went:
-  /// 0 = primary solve, 1 = cold Bland's-rule simplex restart, 2 = flow
-  /// based degraded solve (greedy repair of unroutable demand).
+  /// How far down the solver fallback chain the latest decide() went
+  /// (DESIGN.md §9): 0 = the primary solve; 1 = a Lagrangian solve that
+  /// missed its gap target, answered by the flow solve; 2 = a degraded
+  /// flow solve (greedy repair of unroutable demand) or a watchdog hint.
   int last_fallback_depth() const noexcept { return last_fallback_depth_; }
 
   /// Demand classes the latest decide() solved over; 0 when it ran the
-  /// per-request path (aggregation off, or kAuto below its threshold).
+  /// per-request path (singleton classes: aggregation off, or kAuto
+  /// below its threshold).
   std::size_t last_num_classes() const noexcept { return last_num_classes_; }
 
-  /// The solver tier that produced the latest decide()'s fractional
-  /// solution after kEnv/kAuto resolution — kFlow, kSimplex or
-  /// kLagrangian. Note a Lagrangian solve that failed its duality-gap
-  /// target still reports kLagrangian with last_fallback_depth() >= 1
-  /// (the fractional solution then came from the exact flow path).
+  /// The solver tier of the latest decide() after kEnv/kAuto resolution
+  /// — kFlow or kLagrangian. Note a Lagrangian solve that failed its
+  /// duality-gap target still reports kLagrangian with
+  /// last_fallback_depth() >= 1 (the fractional solution then came from
+  /// the exact flow path).
   core::SolverTier last_solver_tier() const noexcept { return last_solver_tier_; }
 
   /// Snapshots the complete cross-slot decision state (see OlGdState).
@@ -170,9 +164,8 @@ class OnlineCachingAlgorithm final : public CachingAlgorithm {
   void import_state(const OlGdState& state);
 
   /// One-shot degradation hint consumed by the next decide(): a depth of
-  /// 2 skips the primary (and cold-restart) solves and goes straight to
-  /// the flow-based degraded solve — on the simplex *and* Lagrangian
-  /// tiers alike. The serve watchdog sets this after a deadline miss;
+  /// 2 skips the Lagrangian solve and goes straight to the flow-based
+  /// degraded solve. The serve watchdog sets this after a deadline miss;
   /// replay sets it when a record carries kSlotFlagDegradedHint, so both
   /// runs walk the same solver path. A no-op on the flow tier, whose
   /// primary solve already degrades gracefully in place.
@@ -194,18 +187,15 @@ class OnlineCachingAlgorithm final : public CachingAlgorithm {
   // per slot by column count.
   core::SolverTier solver_tier_ = core::SolverTier::kFlow;
   core::SolverTier last_solver_tier_ = core::SolverTier::kFlow;
-  // Reused across slots by the exact-LP path: per-slot models share one
-  // shape, so the simplex warm-starts from the previous slot's basis.
-  lp::SimplexWorkspace lp_workspace_;
   core::BanditState bandit_;
   common::Rng rng_;
   std::vector<double> last_demands_;
   std::vector<bool> played_;  // scratch station mask for observe()
   int last_fallback_depth_ = 0;
   int decide_hint_ = 0;  // one-shot, see set_decide_hint()
-  // Aggregation state: the env-resolved mode (fixed at construction so a
-  // mid-run setenv cannot desynchronise replications) and the reusable
-  // per-slot classing.
+  // Column state: the env-resolved aggregation mode (fixed at
+  // construction so a mid-run setenv cannot desynchronise replications)
+  // and the reusable per-slot classing (real or singleton classes).
   core::AggregateMode aggregate_mode_ = core::AggregateMode::kOff;
   core::DemandClassing classing_;
   std::size_t last_num_classes_ = 0;

@@ -48,7 +48,7 @@ const std::vector<EnvVar>& env_catalog() {
        "\"SIMD & batching\")."},
       {"MECSC_SLOTS", "size_t", "per bench (100-400)",
        "Run-horizon time slots in the bench harnesses."},
-      {"MECSC_SOLVER", "enum: flow|simplex|lagrangian|auto", "flow",
+      {"MECSC_SOLVER", "enum: flow|lagrangian|auto", "flow",
        "Per-slot LP solver tier (DESIGN.md §16); auto picks lagrangian "
        "at >= 4096 LP columns, flow below."},
       {"MECSC_STATIONS", "size_t", "per bench (100)",

@@ -76,6 +76,7 @@ void DemandClassing::build(const CachingProblem& problem,
   classes_.clear();
   class_of_.resize(nr);
   index_.clear();
+  singletons_ = false;
 
   const double inv_log_ratio = 1.0 / std::log(options.bucket_ratio);
   const auto& requests = problem.requests();
@@ -90,18 +91,42 @@ void DemandClassing::build(const CachingProblem& problem,
     const std::uint64_t key = pack_key(service, home, bucket);
     auto [it, inserted] =
         index_.try_emplace(key, static_cast<std::uint32_t>(classes_.size()));
+    const double tx = problem.tx_unit_ms(l);
     if (inserted) {
       DemandClass c;
       c.service = service;
       c.home_station = home;
       c.bucket = bucket;
+      c.tx_unit_ms = tx;
       classes_.push_back(c);
     }
     DemandClass& c = classes_[it->second];
+    if (!inserted && rho > 0.0) {
+      c.tx_unit_ms += rho / (c.rho_sum + rho) * (tx - c.tx_unit_ms);
+    }
     c.rho_sum += rho;
-    c.tx_rho_sum += rho * problem.tx_unit_ms(l);
     ++c.count;
     class_of_[l] = it->second;
+  }
+}
+
+void DemandClassing::build_singletons(const CachingProblem& problem,
+                                      const std::vector<double>& demands) {
+  const std::size_t nr = problem.num_requests();
+  MECSC_CHECK_MSG(demands.size() == nr, "demand vector size mismatch");
+  classes_.resize(nr);
+  class_of_.resize(nr);
+  singletons_ = true;
+  const auto& requests = problem.requests();
+  for (std::size_t l = 0; l < nr; ++l) {
+    DemandClass& c = classes_[l];
+    c.service = static_cast<std::uint32_t>(requests[l].service_id);
+    c.home_station = static_cast<std::uint32_t>(requests[l].home_station);
+    c.bucket = 0;
+    c.rho_sum = demands[l];
+    c.tx_unit_ms = problem.tx_unit_ms(l);
+    c.count = 1;
+    class_of_[l] = static_cast<std::uint32_t>(l);
   }
 }
 

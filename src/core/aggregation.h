@@ -58,7 +58,8 @@ struct AggregationOptions {
 };
 
 /// One demand class: the requests of one service, homed at one base
-/// station, whose per-slot demands fall in one geometric bucket. The LP
+/// station, whose per-slot demands fall in one geometric bucket (or,
+/// from DemandClassing::build_singletons, exactly one request). The LP
 /// column x_{class,i} carries the class's *summed* demand, so routing a
 /// class is exactly as hard on station capacity as routing its members
 /// individually.
@@ -69,23 +70,37 @@ struct DemandClass {
   /// the network-access latency to every candidate serving station.
   std::uint32_t home_station = 0;
   /// Geometric demand-bucket index (see AggregationOptions);
-  /// kZeroDemandBucket for ρ = 0 members.
+  /// kZeroDemandBucket for ρ = 0 members. A singleton build does not
+  /// bucket and leaves it 0.
   std::int32_t bucket = 0;
   /// Σ_l ρ_l(t) over the members — the class's demand this slot.
   double rho_sum = 0.0;
-  /// Σ_l ρ_l(t) · tx_unit_ms(l) over the members: the exact aggregate
-  /// wireless-hop cost. Kept separately because the wireless per-unit
-  /// term varies per member (user position) even within a class.
-  double tx_rho_sum = 0.0;
+  /// ρ-weighted mean of the members' per-unit wireless time
+  /// tx_unit_ms(l). The wireless term varies per member (user position)
+  /// even within a class. The mean is seeded with the first member's
+  /// value exactly, so a one-member class carries its request's own
+  /// tx_unit_ms, and it stays finite when every member has ρ = 0.
+  double tx_unit_ms = 0.0;
   /// Number of member requests.
   std::uint32_t count = 0;
+
+  /// Member-summed serving cost at a station with per-unit delay
+  /// `theta_i` and network-access latency `access` from the shared home
+  /// station: Σ_l [ρ_l·(θ_i + tx_l) + access] =
+  /// rho_sum·(θ_i + tx_unit_ms) + count·access. This is the one cost
+  /// row of every solver; for a one-member class it equals the
+  /// request's ρ_l·(θ_i + tx_l) + access_li bit for bit.
+  double serving_cost(double theta_i, double access) const noexcept {
+    return rho_sum * (theta_i + tx_unit_ms) + static_cast<double>(count) * access;
+  }
 
   /// Bucket index reserved for zero-demand members (they consume no
   /// capacity and are pinned, not routed).
   static constexpr std::int32_t kZeroDemandBucket = INT32_MIN;
 };
 
-/// The per-slot request → class partition (DESIGN.md §11).
+/// The per-slot request → class partition (DESIGN.md §11) — the one
+/// column type of the per-slot LP.
 ///
 /// Built once per slot from the slot's demand vector in O(|R|); class
 /// order is first-appearance (request-index) order, so the partition —
@@ -93,19 +108,34 @@ struct DemandClass {
 /// owns reusable buffers: steady-state rebuilds allocate nothing beyond
 /// hash-table churn.
 ///
+/// Two builds: build() groups requests into demand classes, and
+/// build_singletons() makes request l its own class l — the per-request
+/// path, whose columns (and hence solutions) are bit for bit the
+/// request columns.
+///
 /// De-aggregation invariants (tests/test_aggregation.cpp):
 ///  * a class-level fractional solution expanded uniformly to members
 ///    (x_li := x_{class(l),i}) preserves Σ_i x_li = 1 per request;
 ///  * the expansion loads every station with exactly the class flow, so
 ///    capacity feasibility of the class solution carries over;
 ///  * the Eq. 3 objective of the expansion equals the class objective
-///    exactly (class cost coefficients are the member sums).
+///    up to floating-point rounding (class cost coefficients are the
+///    member sums).
 class DemandClassing {
  public:
   /// Rebuilds the partition for one slot. `demands` is the slot's ρ_l
   /// vector (one entry per request of `problem`).
   void build(const CachingProblem& problem, const std::vector<double>& demands,
              const AggregationOptions& options);
+
+  /// Rebuilds the partition with one class per request: class l is
+  /// request l, in request order, with no bucketing or hashing.
+  void build_singletons(const CachingProblem& problem,
+                        const std::vector<double>& demands);
+
+  /// True when the latest build was build_singletons(), i.e.
+  /// class_of_request() is the identity.
+  bool singletons() const noexcept { return singletons_; }
 
   /// Number of classes of the latest build (0 before the first build).
   std::size_t num_classes() const noexcept { return classes_.size(); }
@@ -133,6 +163,7 @@ class DemandClassing {
  private:
   std::vector<DemandClass> classes_;
   std::vector<std::uint32_t> class_of_;
+  bool singletons_ = false;
   /// Packed (service, home, bucket) key → class index; reused across
   /// builds.
   std::unordered_map<std::uint64_t, std::uint32_t> index_;

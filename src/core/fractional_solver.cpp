@@ -46,67 +46,23 @@ void FractionalSolver::import_warm_state(const FractionalWarmState& state) const
 
 FractionalSolution FractionalSolver::solve(const std::vector<double>& demands,
                                            const std::vector<double>& theta) const {
-  return solve_impl(demands, theta, nullptr);
+  s_.singletons.build_singletons(*problem_, demands);
+  return solve_classes(s_.singletons, theta, nullptr);
 }
 
 FractionalSolution FractionalSolver::solve_degraded(
     const std::vector<double>& demands, const std::vector<double>& theta,
     SolveReport* report) const {
   SolveReport local;
-  return solve_impl(demands, theta, report != nullptr ? report : &local);
-}
-
-FractionalSolution FractionalSolver::solve_impl(const std::vector<double>& demands,
-                                                const std::vector<double>& theta,
-                                                SolveReport* report) const {
-  MECSC_SPAN("frac.solve");
-  MECSC_COUNT("frac.solves", 1.0);
-  const CachingProblem& p = *problem_;
-  const std::size_t nr = p.num_requests();
-  const std::size_t ns = p.num_stations();
-  const std::size_t nk = p.num_services();
-  MECSC_CHECK_MSG(demands.size() == nr, "demand vector size mismatch");
-  MECSC_CHECK_MSG(theta.size() == ns, "theta vector size mismatch");
-
-  Scratch& s = s_;
-
-  // Expected resource demand per request and per service (initial
-  // amortization base).
-  s.res.resize(nr);
-  s.svc.resize(nr);
-  s.home.resize(nr);
-  s.service_demand.assign(nk, 0.0);
-  double total_flow = 0.0;
-  for (std::size_t l = 0; l < nr; ++l) {
-    const auto& req = p.requests()[l];
-    double res = p.resource_demand_mhz(demands[l]);
-    s.res[l] = res;
-    s.svc[l] = static_cast<std::uint32_t>(req.service_id);
-    s.home[l] = static_cast<std::uint32_t>(req.home_station);
-    s.service_demand[req.service_id] += res;
-    total_flow += res;
-  }
-
-  // Round-invariant part of the (l, i) serving cost; the per-round
-  // amortized instantiation price is added on top.
-  s.base_cost.resize(nr * ns);
-  for (std::size_t l = 0; l < nr; ++l) {
-    const double dl = demands[l];
-    const double txl = p.tx_unit_ms(l);
-    double* row = &s.base_cost[l * ns];
-    for (std::size_t i = 0; i < ns; ++i) {
-      row[i] = dl * (theta[i] + txl) + p.access_latency_ms(l, i);
-    }
-  }
-
-  return flow_solve(nr, total_flow, static_cast<double>(nr), report);
+  s_.singletons.build_singletons(*problem_, demands);
+  return solve_classes(s_.singletons, theta, report != nullptr ? report : &local);
 }
 
 FractionalSolution FractionalSolver::solve_classes(const DemandClassing& classing,
                                                    const std::vector<double>& theta,
                                                    SolveReport* report) const {
-  MECSC_SPAN("frac.solve_classes");
-  MECSC_COUNT("frac.class_solves", 1.0);
+  MECSC_SPAN("frac.solve");
+  MECSC_COUNT("frac.solves", 1.0);
   const CachingProblem& p = *problem_;
   const std::size_t nc = classing.num_classes();
   const std::size_t ns = p.num_stations();
@@ -135,21 +91,20 @@ FractionalSolution FractionalSolver::solve_classes(const DemandClassing& classin
     total_flow += res;
   }
 
-  // Exact member-summed cost coefficients: Σ_l [ρ_l·(θ_i + tx_l) +
-  // access_li] over the class = rho_sum·θ_i + tx_rho_sum + count·access
-  // (members share the home station, hence the access latency, to every
-  // candidate station). Aggregation therefore loses nothing in the cost
-  // model — only the within-class freedom to split members differently.
+  // Round-invariant part of the (column, station) serving cost — the
+  // member-summed Eq. 3 row (DemandClass::serving_cost); the per-round
+  // amortized instantiation price is added on top. Aggregation therefore
+  // loses nothing in the cost model, only the within-class freedom to
+  // split members differently.
   s.base_cost.resize(nc * ns);
   const bool inc_access = p.options().include_access_latency;
   for (std::size_t c = 0; c < nc; ++c) {
-    const DemandClass& cls = classes[c];
-    const double cnt = static_cast<double>(cls.count);
+    const DemandClass cls = classes[c];
     double* row = &s.base_cost[c * ns];
     for (std::size_t i = 0; i < ns; ++i) {
       const double access =
           inc_access ? p.topology().path_latency_ms(cls.home_station, i) : 0.0;
-      row[i] = cls.rho_sum * theta[i] + cls.tx_rho_sum + cnt * access;
+      row[i] = cls.serving_cost(theta[i], access);
     }
   }
 
@@ -165,9 +120,8 @@ FractionalSolution FractionalSolver::flow_solve(std::size_t n, double total_flow
   const std::size_t nk = p.num_services();
   Scratch& s = s_;
 
-  // Network-access latency of column e at station i (identical to
-  // access_latency_ms on the request path; the class path shares one
-  // home station across members).
+  // Network-access latency of column e at station i (a class's members
+  // share one home station).
   const bool inc_access = p.options().include_access_latency;
   auto col_access = [&](std::size_t e, std::size_t i) {
     return inc_access ? p.topology().path_latency_ms(s.home[e], i) : 0.0;

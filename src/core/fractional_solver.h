@@ -50,8 +50,7 @@ struct SolveReport {
 /// is re-evaluated with the true (non-amortized) Eq. 3 cost, so the only
 /// approximation is in *where* flow is routed, not in how the solution
 /// is scored. The `bench_lp_vs_flow` ablation and tests/test_core.cpp
-/// quantify the gap against the exact simplex path (small: instantiation
-/// delays are second-order versus ρ·θ).
+/// measure the gap against the exact simplex oracle.
 ///
 /// Performance (DESIGN.md "Performance"): instead of the dense |R|×|BS|
 /// bipartite graph, each solve runs on a pruned *working set* of arcs —
@@ -66,11 +65,12 @@ struct SolveReport {
 /// reused across solves, so steady-state per-slot solves allocate
 /// nothing.
 ///
-/// Scaling (DESIGN.md §11): the flow core is column-generic — a column
-/// is either one request or one demand class (solve_classes). With
-/// aggregation the identical machinery runs over |classes| columns
-/// instead of |R|, which is what keeps 100k-request slots inside the
-/// slot budget.
+/// Columns (DESIGN.md §11): a column is one demand class of a
+/// DemandClassing. solve() and solve_degraded() build one singleton
+/// class per request and run the same body, so the per-request path
+/// and the aggregated path are one code path; with aggregation it runs
+/// over |classes| columns instead of |R|, which is what keeps
+/// 100k-request slots inside the slot budget.
 ///
 /// Thread safety: the reusable scratch state makes concurrent solve()
 /// calls on one instance a data race. Give each worker its own solver
@@ -82,34 +82,34 @@ class FractionalSolver {
   /// Binds the solver to `problem` (non-owning; must outlive the solver).
   explicit FractionalSolver(const CachingProblem& problem) : problem_(&problem) {}
 
-  /// Solves for one slot; throws Infeasible when demand cannot be fully
-  /// routed. Zero-demand requests are pinned (x = 1) to their cheapest
-  /// station since they consume no capacity.
+  /// Per-request solve: solve_classes() over one singleton class per
+  /// request. Throws Infeasible when demand cannot be fully routed.
+  /// Zero-demand requests are pinned (x = 1) to their cheapest station
+  /// since they consume no capacity.
   FractionalSolution solve(const std::vector<double>& demands,
                            const std::vector<double>& theta) const;
 
   /// Degraded-mode variant of solve(): never throws on capacity
-  /// shortfall. The routable part keeps the min-cost-flow optimum; each
-  /// unrouted request fraction is then placed greedily on the cheapest
-  /// up station with residual capacity (the roomiest up station when
-  /// none has any), so Σ_i x_li = 1 still holds for every request.
-  /// Bitwise identical to solve() whenever the instance is feasible.
-  /// `report` (optional) records whether and how much degradation
-  /// happened.
+  /// shortfall (see solve_classes with a non-null report). Bitwise
+  /// identical to solve() whenever the instance is feasible. `report`
+  /// (optional) records whether and how much degradation happened.
   FractionalSolution solve_degraded(const std::vector<double>& demands,
                                     const std::vector<double>& theta,
                                     SolveReport* report = nullptr) const;
 
-  /// Aggregated counterpart of solve()/solve_degraded(): solves the
-  /// transportation relaxation over the classing's demand classes —
-  /// columns x_{class,i} with the class's summed resource demand and the
-  /// exact member-summed cost coefficients — and returns a *class-level*
-  /// fractional solution (one x row per class, in classing order; the
-  /// objective is still the per-request Eq. 3 average). De-aggregate
-  /// with round_assignment_aggregated, or expand x_li := x_{class(l),i}.
-  /// With a null `report` a capacity shortfall throws Infeasible; with a
-  /// non-null one the solve degrades gracefully exactly like
-  /// solve_degraded ("solve_degraded accepts classes").
+  /// Solves the transportation relaxation over the classing's columns —
+  /// x_{class,i} with the class's summed resource demand and its
+  /// member-summed cost row (DemandClass::serving_cost) — and returns a
+  /// *class-level* fractional solution (one x row per class, in classing
+  /// order; the objective is the per-request Eq. 3 average). Round with
+  /// round_assignment_aggregated, or expand x_li := x_{class(l),i}.
+  ///
+  /// With a null `report` a capacity shortfall throws Infeasible. With a
+  /// non-null one the solve degrades gracefully: the routable part keeps
+  /// the min-cost-flow optimum, and each unrouted fraction is placed
+  /// greedily on the cheapest up station with residual capacity (the
+  /// roomiest up station when none has any), so Σ_i x_ci = 1 still holds
+  /// for every column.
   FractionalSolution solve_classes(const DemandClassing& classing,
                                    const std::vector<double>& theta,
                                    SolveReport* report = nullptr) const;
@@ -136,25 +136,18 @@ class FractionalSolver {
   void import_warm_state(const FractionalWarmState& state) const;
 
  private:
-  /// Request-path implementation: fills the per-column scratch from the
-  /// per-request demands, then runs the shared flow core. Throws on
-  /// shortfall when `report` is null, degrades gracefully when it is not.
-  FractionalSolution solve_impl(const std::vector<double>& demands,
-                                const std::vector<double>& theta,
-                                SolveReport* report) const;
-
-  /// Column-generic flow core shared by the request and class paths.
-  /// Expects s_.res / s_.svc / s_.home / s_.base_cost / s_.service_demand
-  /// prefilled for `n` columns; `objective_divisor` is the request count
-  /// the Eq. 3 average divides by (= n on the request path).
+  /// The flow core of solve_classes(). Expects s_.res / s_.svc /
+  /// s_.home / s_.base_cost / s_.service_demand prefilled for `n`
+  /// columns; `objective_divisor` is the request count the Eq. 3
+  /// average divides by.
   FractionalSolution flow_solve(std::size_t n, double total_flow,
                                 double objective_divisor,
                                 SolveReport* report) const;
 
   /// Reusable buffers; sized on first solve, reused afterwards. A
-  /// "column" below is a request (solve/solve_degraded) or a demand
-  /// class (solve_classes).
+  /// "column" below is one demand class.
   struct Scratch {
+    DemandClassing singletons;           // solve/solve_degraded columns
     flow::MinCostFlow mcf{0};
     std::vector<double> res;             // per column, resource demand (MHz)
     std::vector<std::uint32_t> svc;      // per column, service id

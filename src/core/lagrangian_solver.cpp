@@ -62,48 +62,14 @@ void LagrangianSolver::import_warm_state(const LagrangianWarmState& state) const
 
 LagrangianOutcome LagrangianSolver::solve(const std::vector<double>& demands,
                                           const std::vector<double>& theta) const {
-  MECSC_SPAN("lag.solve");
-  MECSC_COUNT("lag.solves", 1.0);
-  const CachingProblem& p = *problem_;
-  const std::size_t nr = p.num_requests();
-  const std::size_t ns = p.num_stations();
-  const std::size_t nk = p.num_services();
-  MECSC_CHECK_MSG(demands.size() == nr, "demand vector size mismatch");
-  MECSC_CHECK_MSG(theta.size() == ns, "theta vector size mismatch");
-
-  Scratch& s = s_;
-  s.res.resize(nr);
-  s.svc.resize(nr);
-  s.home.resize(nr);
-  s.service_demand.assign(nk, 0.0);
-  double total_flow = 0.0;
-  for (std::size_t l = 0; l < nr; ++l) {
-    const auto& req = p.requests()[l];
-    double res = p.resource_demand_mhz(demands[l]);
-    s.res[l] = res;
-    s.svc[l] = static_cast<std::uint32_t>(req.service_id);
-    s.home[l] = static_cast<std::uint32_t>(req.home_station);
-    s.service_demand[req.service_id] += res;
-    total_flow += res;
-  }
-
-  s.base_cost.resize(nr * ns);
-  for (std::size_t l = 0; l < nr; ++l) {
-    const double dl = demands[l];
-    const double txl = p.tx_unit_ms(l);
-    double* row = &s.base_cost[l * ns];
-    for (std::size_t i = 0; i < ns; ++i) {
-      row[i] = dl * (theta[i] + txl) + p.access_latency_ms(l, i);
-    }
-  }
-
-  return run(nr, total_flow, static_cast<double>(nr));
+  s_.singletons.build_singletons(*problem_, demands);
+  return solve_classes(s_.singletons, theta);
 }
 
 LagrangianOutcome LagrangianSolver::solve_classes(
     const DemandClassing& classing, const std::vector<double>& theta) const {
-  MECSC_SPAN("lag.solve_classes");
-  MECSC_COUNT("lag.class_solves", 1.0);
+  MECSC_SPAN("lag.solve");
+  MECSC_COUNT("lag.solves", 1.0);
   const CachingProblem& p = *problem_;
   const std::size_t nc = classing.num_classes();
   const std::size_t ns = p.num_stations();
@@ -129,18 +95,17 @@ LagrangianOutcome LagrangianSolver::solve_classes(
     total_flow += res;
   }
 
-  // Exact member-summed cost coefficients — identical to
-  // FractionalSolver::solve_classes, so the tiers' objectives compare.
+  // The member-summed cost row shared with FractionalSolver, so the
+  // tiers' objectives compare.
   s.base_cost.resize(nc * ns);
   const bool inc_access = p.options().include_access_latency;
   for (std::size_t c = 0; c < nc; ++c) {
-    const DemandClass& cls = classes[c];
-    const double cnt = static_cast<double>(cls.count);
+    const DemandClass cls = classes[c];
     double* row = &s.base_cost[c * ns];
     for (std::size_t i = 0; i < ns; ++i) {
       const double access =
           inc_access ? p.topology().path_latency_ms(cls.home_station, i) : 0.0;
-      row[i] = cls.rho_sum * theta[i] + cls.tx_rho_sum + cnt * access;
+      row[i] = cls.serving_cost(theta[i], access);
     }
   }
 

@@ -40,9 +40,9 @@ LagrangianOptions lagrangian_options_from_env();
 /// multipliers λ and the adaptive subgradient step scale. Demands and θ
 /// drift slowly between slots, so yesterday's prices are a near-optimal
 /// starting point — warm-started solves typically close the duality gap
-/// in a few iterations instead of a cold-start's tens. Checkpointing
-/// this (serve checkpoint format v2) is what keeps the lagrangian tier's
-/// decisions bit-identical across a crash/resume boundary.
+/// in a few iterations instead of a cold-start's tens. Saving this in
+/// the serve checkpoint is what keeps the lagrangian tier's decisions
+/// bit-identical across a crash/resume boundary.
 struct LagrangianWarmState {
   /// Per-station capacity price λ_i >= 0.
   std::vector<double> lambda;
@@ -71,14 +71,14 @@ struct LagrangianOutcome {
 };
 
 /// Lagrangian decomposition solver for the per-slot LP relaxation
-/// (DESIGN.md §16) — the third SolverTier, built for slots whose column
-/// count outgrows even the pruned flow solve (ROADMAP item 2: 1M-request
+/// (DESIGN.md §16) — the second serving SolverTier, built for slots
+/// whose column count outgrows even the pruned flow solve (1M-request
 /// slots).
 ///
 /// Formulation: relaxing the per-station capacity constraints
 /// Σ_e res_e·x_ei <= C_i of the transportation LP with multipliers
-/// λ_i >= 0 decouples the columns — each demand class (or request)
-/// independently solves argmin_i (c_ei + λ_i·res_e), an O(|BS|) scan
+/// λ_i >= 0 decouples the columns — each demand class independently
+/// solves argmin_i (c_ei + λ_i·res_e), an O(|BS|) scan
 /// that is embarrassingly parallel over columns and needs no flow
 /// network, no tableau and no Dijkstra. Subgradient ascent
 /// (λ_i <- max(0, λ_i + step·(load_i − C_i)) with a Polyak step under an
@@ -118,15 +118,15 @@ class LagrangianSolver {
   /// The options the solver runs under.
   const LagrangianOptions& options() const noexcept { return options_; }
 
-  /// Per-request solve (aggregation off): one column per request.
+  /// Per-request solve: solve_classes() over one singleton class per
+  /// request.
   LagrangianOutcome solve(const std::vector<double>& demands,
                           const std::vector<double>& theta) const;
 
-  /// Aggregated solve: one column per demand class of `classing`, with
-  /// the class's summed resource demand and exact member-summed cost
-  /// coefficients (the same column model as
-  /// FractionalSolver::solve_classes). Returns a class-level solution —
-  /// de-aggregate with round_assignment_aggregated.
+  /// Solves over one column per demand class of `classing`, with the
+  /// class's summed resource demand and its member-summed cost row (the
+  /// same column model as FractionalSolver::solve_classes). Returns a
+  /// class-level solution — round with round_assignment_aggregated.
   LagrangianOutcome solve_classes(const DemandClassing& classing,
                                   const std::vector<double>& theta) const;
 
@@ -149,8 +149,9 @@ class LagrangianSolver {
                         double objective_divisor) const;
 
   /// Reusable buffers; sized on first solve, reused afterwards. A
-  /// "column" is a request (solve) or a demand class (solve_classes).
+  /// "column" is one demand class.
   struct Scratch {
+    DemandClassing singletons;           // solve() columns
     std::vector<double> res;             // per column, resource demand (MHz)
     std::vector<std::uint32_t> svc;      // per column, service id
     std::vector<std::uint32_t> home;     // per column, home station

@@ -7,18 +7,17 @@ namespace mecsc::core {
 LpFormulation::LpFormulation(const CachingProblem& problem,
                              const std::vector<double>& demands,
                              const std::vector<double>& theta)
-    : problem_(problem),
-      num_rows_(problem.num_requests()),
+    : num_requests_(problem.num_requests()),
       num_stations_(problem.num_stations()),
       num_services_(problem.num_services()) {
-  MECSC_CHECK_MSG(demands.size() == num_rows_, "demand vector size mismatch");
+  MECSC_CHECK_MSG(demands.size() == num_requests_, "demand vector size mismatch");
   MECSC_CHECK_MSG(theta.size() == num_stations_, "theta vector size mismatch");
 
-  const double inv_r = 1.0 / static_cast<double>(num_rows_);
+  const double inv_r = 1.0 / static_cast<double>(num_requests_);
 
   // Variables: x_{li} first (request-major), then y_{ki} (service-major).
   // Objective = (1/|R|) (Σ x_li (ρ_l θ_i + access_li) + Σ y_ki d_ins_ik).
-  for (std::size_t l = 0; l < num_rows_; ++l) {
+  for (std::size_t l = 0; l < num_requests_; ++l) {
     for (std::size_t i = 0; i < num_stations_; ++i) {
       double coef = demands[l] * (theta[i] + problem.tx_unit_ms(l)) +
                     problem.access_latency_ms(l, i);
@@ -34,7 +33,7 @@ LpFormulation::LpFormulation(const CachingProblem& problem,
   }
 
   // Constraint (4): Σ_i x_li = 1 for every request.
-  for (std::size_t l = 0; l < num_rows_; ++l) {
+  for (std::size_t l = 0; l < num_requests_; ++l) {
     lp::Constraint c;
     c.relation = lp::Relation::kEqual;
     c.rhs = 1.0;
@@ -51,14 +50,14 @@ LpFormulation::LpFormulation(const CachingProblem& problem,
     c.relation = lp::Relation::kLessEqual;
     c.rhs = problem.station_capacity_mhz(i);
     c.name = "cap_" + std::to_string(i);
-    for (std::size_t l = 0; l < num_rows_; ++l) {
+    for (std::size_t l = 0; l < num_requests_; ++l) {
       c.terms.emplace_back(x_var(l, i), problem.resource_demand_mhz(demands[l]));
     }
     model_.add_constraint(std::move(c));
   }
 
   // Constraint (6): y_{k(l),i} >= x_li  <=>  x_li - y_ki <= 0.
-  for (std::size_t l = 0; l < num_rows_; ++l) {
+  for (std::size_t l = 0; l < num_requests_; ++l) {
     std::size_t k = problem.requests()[l].service_id;
     for (std::size_t i = 0; i < num_stations_; ++i) {
       lp::Constraint c;
@@ -71,95 +70,14 @@ LpFormulation::LpFormulation(const CachingProblem& problem,
   }
 }
 
-LpFormulation::LpFormulation(const CachingProblem& problem,
-                             const DemandClassing& classing,
-                             const std::vector<double>& theta)
-    : problem_(problem),
-      num_rows_(classing.num_classes()),
-      num_stations_(problem.num_stations()),
-      num_services_(problem.num_services()) {
-  MECSC_CHECK_MSG(classing.num_requests() == problem.num_requests(),
-                  "classing was built for a different problem");
-  MECSC_CHECK_MSG(theta.size() == num_stations_, "theta vector size mismatch");
-
-  // The objective stays the per-request average: Σ over a class's
-  // members of ρ_l θ_i + ρ_l tx_l + access_li equals
-  // rho_sum·θ_i + tx_rho_sum + count·access (members share the home
-  // station), so class columns carry exact member-summed coefficients.
-  const double inv_r = 1.0 / static_cast<double>(problem.num_requests());
-  const bool inc_access = problem.options().include_access_latency;
-  const auto& classes = classing.classes();
-
-  for (std::size_t c = 0; c < num_rows_; ++c) {
-    const DemandClass& cls = classes[c];
-    for (std::size_t i = 0; i < num_stations_; ++i) {
-      const double access =
-          inc_access ? problem.topology().path_latency_ms(cls.home_station, i)
-                     : 0.0;
-      double coef = cls.rho_sum * theta[i] + cls.tx_rho_sum +
-                    static_cast<double>(cls.count) * access;
-      model_.add_variable(inv_r * coef,
-                          "x_" + std::to_string(c) + "_" + std::to_string(i));
-    }
-  }
-  for (std::size_t k = 0; k < num_services_; ++k) {
-    for (std::size_t i = 0; i < num_stations_; ++i) {
-      model_.add_variable(inv_r * problem.instantiation_delay_ms(i, k),
-                          "y_" + std::to_string(k) + "_" + std::to_string(i));
-    }
-  }
-
-  // Constraint (4), aggregated: Σ_i x_ci = 1 per class; the uniform
-  // expansion x_li := x_{class(l),i} then satisfies Σ_i x_li = 1 for
-  // every member request.
-  for (std::size_t c = 0; c < num_rows_; ++c) {
-    lp::Constraint con;
-    con.relation = lp::Relation::kEqual;
-    con.rhs = 1.0;
-    con.name = "assign_" + std::to_string(c);
-    for (std::size_t i = 0; i < num_stations_; ++i) {
-      con.terms.emplace_back(x_var(c, i), 1.0);
-    }
-    model_.add_constraint(std::move(con));
-  }
-
-  // Constraint (5), aggregated: a class loads a station with its summed
-  // resource demand — exactly the load its members would place, so class
-  // feasibility implies expanded per-request feasibility.
-  for (std::size_t i = 0; i < num_stations_; ++i) {
-    lp::Constraint con;
-    con.relation = lp::Relation::kLessEqual;
-    con.rhs = problem.station_capacity_mhz(i);
-    con.name = "cap_" + std::to_string(i);
-    for (std::size_t c = 0; c < num_rows_; ++c) {
-      con.terms.emplace_back(x_var(c, i),
-                             problem.resource_demand_mhz(classes[c].rho_sum));
-    }
-    model_.add_constraint(std::move(con));
-  }
-
-  // Constraint (6): y_{k(c),i} >= x_ci.
-  for (std::size_t c = 0; c < num_rows_; ++c) {
-    std::size_t k = classes[c].service;
-    for (std::size_t i = 0; i < num_stations_; ++i) {
-      lp::Constraint con;
-      con.relation = lp::Relation::kLessEqual;
-      con.rhs = 0.0;
-      con.terms.emplace_back(x_var(c, i), 1.0);
-      con.terms.emplace_back(y_var(k, i), -1.0);
-      model_.add_constraint(std::move(con));
-    }
-  }
-}
-
 std::size_t LpFormulation::x_var(std::size_t request, std::size_t station) const {
-  MECSC_CHECK(request < num_rows_ && station < num_stations_);
+  MECSC_CHECK(request < num_requests_ && station < num_stations_);
   return request * num_stations_ + station;
 }
 
 std::size_t LpFormulation::y_var(std::size_t service, std::size_t station) const {
   MECSC_CHECK(service < num_services_ && station < num_stations_);
-  return num_rows_ * num_stations_ + service * num_stations_ + station;
+  return num_requests_ * num_stations_ + service * num_stations_ + station;
 }
 
 FractionalSolution LpFormulation::solve(const lp::SimplexSolver& solver) const {
@@ -169,10 +87,10 @@ FractionalSolution LpFormulation::solve(const lp::SimplexSolver& solver) const {
 
 FractionalSolution LpFormulation::solve(const lp::SimplexSolver& solver,
                                         lp::SimplexWorkspace& workspace) const {
-  LpSolveOutcome out = try_solve(solver, workspace);
-  switch (out.status) {
+  lp::Solution sol = solver.solve(model_, workspace);
+  switch (sol.status) {
     case lp::SolveStatus::kOptimal:
-      return std::move(out.solution);
+      break;
     case lp::SolveStatus::kInfeasible:
       throw common::Infeasible("per-slot caching LP is infeasible");
     case lp::SolveStatus::kUnbounded:
@@ -183,26 +101,18 @@ FractionalSolution LpFormulation::solve(const lp::SimplexSolver& solver,
       throw common::NumericalError(
           "simplex hit its pivot limit before reaching optimality");
   }
-  throw common::NumericalError("unknown simplex status");
-}
-
-LpSolveOutcome LpFormulation::try_solve(const lp::SimplexSolver& solver,
-                                        lp::SimplexWorkspace& workspace) const {
-  lp::Solution sol = solver.solve(model_, workspace);
-  LpSolveOutcome out;
-  out.status = sol.status;
-  if (sol.status != lp::SolveStatus::kOptimal) return out;
-  out.solution.objective = sol.objective;
-  out.solution.x.assign(num_rows_, std::vector<double>(num_stations_, 0.0));
-  out.solution.y.assign(num_services_, std::vector<double>(num_stations_, 0.0));
-  for (std::size_t l = 0; l < num_rows_; ++l) {
+  FractionalSolution out;
+  out.objective = sol.objective;
+  out.x.assign(num_requests_, std::vector<double>(num_stations_, 0.0));
+  out.y.assign(num_services_, std::vector<double>(num_stations_, 0.0));
+  for (std::size_t l = 0; l < num_requests_; ++l) {
     for (std::size_t i = 0; i < num_stations_; ++i) {
-      out.solution.x[l][i] = sol.x[x_var(l, i)];
+      out.x[l][i] = sol.x[x_var(l, i)];
     }
   }
   for (std::size_t k = 0; k < num_services_; ++k) {
     for (std::size_t i = 0; i < num_stations_; ++i) {
-      out.solution.y[k][i] = sol.x[y_var(k, i)];
+      out.y[k][i] = sol.x[y_var(k, i)];
     }
   }
   return out;

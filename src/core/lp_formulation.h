@@ -3,25 +3,19 @@
 
 #include <vector>
 
-#include "core/aggregation.h"
 #include "core/problem.h"
 #include "lp/model.h"
 #include "lp/simplex.h"
 
 namespace mecsc::core {
 
-/// Status-annotated result of LpFormulation::try_solve. `solution` is
-/// meaningful only when `status == lp::SolveStatus::kOptimal`.
-struct LpSolveOutcome {
-  lp::SolveStatus status = lp::SolveStatus::kIterationLimit;  ///< Simplex exit status.
-  FractionalSolution solution;  ///< Valid only when status is kOptimal.
-};
-
 /// Builds and solves the paper's exact per-slot LP relaxation
 /// (Eq. 3 s.t. constraints 4-6, relaxed per Eq. 8) with the dense
-/// simplex. O(|R|·|BS|) variables and constraints, so this path is for
-/// small/medium instances, tests, and the `bench_lp_vs_flow` ablation;
-/// the scalable path is core::FractionalSolver.
+/// simplex. O(|R|·|BS|) variables and constraints, so this is the
+/// oracle for small instances — the solver-gap tests and the
+/// `bench_lp_vs_flow` ablation (A5) — and not a serving path; OL_GD
+/// solves each slot with core::FractionalSolver or
+/// core::LagrangianSolver (DESIGN.md §16).
 class LpFormulation {
  public:
   /// demands: ρ_l(t) per request; theta: estimated (or true) per-unit
@@ -29,22 +23,11 @@ class LpFormulation {
   LpFormulation(const CachingProblem& problem, const std::vector<double>& demands,
                 const std::vector<double>& theta);
 
-  /// Aggregated formulation (DESIGN.md §11): one x column per demand
-  /// class of `classing` instead of one per request, with the exact
-  /// member-summed cost and capacity coefficients, so the model shrinks
-  /// by the classing's compression ratio while the optimum (restricted
-  /// to class-uniform solutions) keeps the per-request Eq. 3 objective.
-  /// try_solve / solve then return a *class-level* FractionalSolution —
-  /// de-aggregate with round_assignment_aggregated.
-  LpFormulation(const CachingProblem& problem, const DemandClassing& classing,
-                const std::vector<double>& theta);
-
   /// The materialised LP model (for inspection or external solvers).
   const lp::Model& model() const noexcept { return model_; }
 
-  /// Column index of x_{row,i}; a row is a request (per-request ctor) or
-  /// a demand class (aggregated ctor).
-  std::size_t x_var(std::size_t row, std::size_t station) const;
+  /// Column index of x_{l,i}.
+  std::size_t x_var(std::size_t request, std::size_t station) const;
   /// Column index of y_{k,i}.
   std::size_t y_var(std::size_t service, std::size_t station) const;
 
@@ -55,21 +38,12 @@ class LpFormulation {
   FractionalSolution solve(const lp::SimplexSolver& solver) const;
 
   /// Same, but reuses (and warm-starts from) the caller's workspace —
-  /// the zero-allocation path for per-slot solves of same-sized models.
+  /// the zero-allocation path for repeated solves of same-sized models.
   FractionalSolution solve(const lp::SimplexSolver& solver,
                            lp::SimplexWorkspace& workspace) const;
 
-  /// Exception-free variant: surfaces the simplex status instead of
-  /// throwing, so callers with a fallback chain (OL_GD under fault
-  /// injection) can retry with different solver options.
-  LpSolveOutcome try_solve(const lp::SimplexSolver& solver,
-                           lp::SimplexWorkspace& workspace) const;
-
  private:
-  const CachingProblem& problem_;
-  /// Rows of the x block: |R| (per-request ctor) or |classes|
-  /// (aggregated ctor).
-  std::size_t num_rows_;
+  std::size_t num_requests_;
   std::size_t num_stations_;
   std::size_t num_services_;
   lp::Model model_;

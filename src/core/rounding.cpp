@@ -264,8 +264,9 @@ Assignment round_assignment_aggregated(const CachingProblem& problem,
                   "fractional solution is not class-level");
   MECSC_CHECK_MSG(classing.num_requests() == problem.num_requests(),
                   "classing was built for a different problem");
-  return round_impl(problem, class_frac, &classing.class_of_request(), demands,
-                    theta, options, rng);
+  const std::vector<std::uint32_t>* row_of =
+      classing.singletons() ? nullptr : &classing.class_of_request();
+  return round_impl(problem, class_frac, row_of, demands, theta, options, rng);
 }
 
 }  // namespace mecsc::core

@@ -35,14 +35,23 @@ std::vector<std::vector<std::size_t>> candidate_sets(const FractionalSolution& f
 ///    proportional to x*_li;
 ///  * explore: assign to a uniformly random non-candidate station (any
 ///    station when every station is a candidate);
-///  * repair: while some station is overloaded, move the overloaded
-///    station's smallest-x* requests to the cheapest (per current θ)
-///    station with room;
+///  * repair: for each overloaded station, move its requests —
+///    smallest x* first, until the station fits — to the cheapest (per
+///    current θ) station with room for the whole request, candidates
+///    preferred;
 ///  * improve: a 1-opt pass over the exploit-branch requests (moves
 ///    restricted to their candidate sets, instantiation sharing
 ///    accounted) removes the variance randomized rounding leaves behind.
 ///    Exploration picks are never touched — they are the bandit plays.
-/// The result is capacity-feasible whenever the fractional solution was.
+///
+/// Capacity contract: repair and 1-opt only ever move a request to a
+/// station with room for all of it, so neither creates an overload or
+/// deepens one. The result is *not* guaranteed capacity-feasible, even
+/// when the fractional solution was: a request that no other station
+/// has room for stays where rounding put it, and its station stays
+/// overloaded (a feasible x* does not imply that a feasible integral
+/// assignment exists). Residual overload shows up as
+/// sim::SlotRecord::capacity_violation_mhz and is scored as congestion.
 Assignment round_assignment(const CachingProblem& problem,
                             const FractionalSolution& frac,
                             const std::vector<double>& demands,
@@ -51,9 +60,12 @@ Assignment round_assignment(const CachingProblem& problem,
 
 /// De-aggregating variant of round_assignment (DESIGN.md §11): takes a
 /// *class-level* fractional solution (one x row per demand class of
-/// `classing`, as produced by FractionalSolver::solve_classes or the
-/// aggregated LpFormulation) and rounds every member request against its
-/// class's row — i.e. the uniform expansion x_li := x_{class(l),i}.
+/// `classing`, as produced by FractionalSolver::solve_classes or
+/// LagrangianSolver::solve_classes) and rounds every member request
+/// against its class's row — i.e. the uniform expansion
+/// x_li := x_{class(l),i}. Over a singleton classing
+/// (DemandClassing::build_singletons) this is round_assignment exactly:
+/// same draws, same result, and no `agg.spill_requests` count.
 ///
 /// Because each member samples independently from the class row, the
 /// per-request assignment distribution is exactly what per-request

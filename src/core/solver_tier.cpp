@@ -11,12 +11,11 @@ SolverTier resolve_solver_tier(SolverTier configured) {
   const char* v = std::getenv("MECSC_SOLVER");
   if (v == nullptr || *v == '\0') return SolverTier::kFlow;
   if (std::strcmp(v, "flow") == 0) return SolverTier::kFlow;
-  if (std::strcmp(v, "simplex") == 0) return SolverTier::kSimplex;
   if (std::strcmp(v, "lagrangian") == 0) return SolverTier::kLagrangian;
   if (std::strcmp(v, "auto") == 0) return SolverTier::kAuto;
   std::fprintf(stderr,
-               "mecsc: ignoring MECSC_SOLVER=\"%s\" — expected flow, simplex, "
-               "lagrangian or auto\n",
+               "mecsc: ignoring MECSC_SOLVER=\"%s\" — expected flow, lagrangian "
+               "or auto\n",
                v);
   return SolverTier::kFlow;
 }
@@ -27,8 +26,6 @@ const char* solver_tier_name(SolverTier tier) {
       return "env";
     case SolverTier::kFlow:
       return "flow";
-    case SolverTier::kSimplex:
-      return "simplex";
     case SolverTier::kLagrangian:
       return "lagrangian";
     case SolverTier::kAuto:

@@ -2,7 +2,6 @@
 #define MECSC_LP_SIMPLEX_H
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "lp/model.h"
@@ -52,40 +51,9 @@ struct SimplexOptions {
 /// Ownership/thread-safety contract: the workspace is plain mutable
 /// state. One workspace per thread; sharing one across concurrent solves
 /// is a data race. The solver itself stays const/stateless.
-/// Portable snapshot of a workspace's warm-start basis (checkpointing).
-/// `valid == false` round-trips a workspace that has no remembered basis.
-struct SimplexWarmState {
-  std::vector<std::uint64_t> basis;
-  std::uint64_t rows = 0;
-  std::uint64_t cols = 0;
-  bool valid = false;
-};
-
 class SimplexWorkspace {
  public:
   SimplexWorkspace() = default;
-
-  /// Forgets the remembered basis, forcing the next solve to run cold.
-  void clear_warm_start() { has_warm_ = false; }
-
-  /// Snapshots the remembered basis so a resumed process can warm-start
-  /// its first solve exactly like the uninterrupted run would have.
-  SimplexWarmState export_warm_state() const {
-    SimplexWarmState s;
-    s.valid = has_warm_;
-    s.rows = warm_m_;
-    s.cols = warm_cols_;
-    s.basis.assign(warm_basis.begin(), warm_basis.end());
-    return s;
-  }
-
-  /// Restores a basis snapshot taken by export_warm_state().
-  void import_warm_state(const SimplexWarmState& s) {
-    has_warm_ = s.valid;
-    warm_m_ = static_cast<std::size_t>(s.rows);
-    warm_cols_ = static_cast<std::size_t>(s.cols);
-    warm_basis.assign(s.basis.begin(), s.basis.end());
-  }
 
  private:
   friend class SimplexSolver;

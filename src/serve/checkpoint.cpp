@@ -21,7 +21,9 @@ constexpr std::uint32_t kCheckpointMagic = 0x4B43454DU;  // "MECK"
 // v2: appended the Lagrangian dual warm state (λ + step scale) after the
 // flow-solver warm state — required for bit-identical resume under
 // MECSC_SOLVER=lagrangian/auto.
-constexpr std::uint16_t kCheckpointVersion = 2;
+// v3: dropped the simplex warm-start basis (the simplex is no longer a
+// serving tier).
+constexpr std::uint16_t kCheckpointVersion = 3;
 
 void put_doubles(std::string& buf, const std::vector<double>& v) {
   put(buf, static_cast<std::uint64_t>(v.size()));
@@ -33,18 +35,6 @@ bool take_doubles(Cursor& c, std::vector<double>& v) {
   if (!c.take(n) || n > c.remaining() / sizeof(double)) return false;
   v.resize(static_cast<std::size_t>(n));
   return c.take(v.data(), v.size() * sizeof(double));
-}
-
-void put_u64s(std::string& buf, const std::vector<std::uint64_t>& v) {
-  put(buf, static_cast<std::uint64_t>(v.size()));
-  put_bytes(buf, v.data(), v.size() * sizeof(std::uint64_t));
-}
-
-bool take_u64s(Cursor& c, std::vector<std::uint64_t>& v) {
-  std::uint64_t n = 0;
-  if (!c.take(n) || n > c.remaining() / sizeof(std::uint64_t)) return false;
-  v.resize(static_cast<std::size_t>(n));
-  return c.take(v.data(), v.size() * sizeof(std::uint64_t));
 }
 
 void put_string(std::string& buf, const std::string& s) {
@@ -109,10 +99,6 @@ std::string serialize_checkpoint(const Checkpoint& ckpt) {
   }
   put(buf, static_cast<std::uint64_t>(a.bandit_total_plays));
   put_string(buf, a.rng_stream);
-  put(buf, static_cast<std::uint8_t>(a.lp_warm.valid ? 1 : 0));
-  put(buf, a.lp_warm.rows);
-  put(buf, a.lp_warm.cols);
-  put_u64s(buf, a.lp_warm.basis);
   put(buf, static_cast<std::uint64_t>(a.solver_warm.warm_arcs.size()));
   for (const auto& arcs : a.solver_warm.warm_arcs) {
     put(buf, static_cast<std::uint64_t>(arcs.size()));
@@ -156,12 +142,6 @@ bool parse_checkpoint(Cursor& c, Checkpoint& ckpt) {
   if (!c.take(total)) return false;
   a.bandit_total_plays = static_cast<std::size_t>(total);
   if (!take_string(c, a.rng_stream)) return false;
-  std::uint8_t valid = 0;
-  if (!(c.take(valid) && c.take(a.lp_warm.rows) && c.take(a.lp_warm.cols))) {
-    return false;
-  }
-  a.lp_warm.valid = valid != 0;
-  if (!take_u64s(c, a.lp_warm.basis)) return false;
   if (!c.take(n) || n > c.remaining() / sizeof(std::uint64_t)) return false;
   a.solver_warm.warm_arcs.resize(static_cast<std::size_t>(n));
   for (auto& arcs : a.solver_warm.warm_arcs) {

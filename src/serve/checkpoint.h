@@ -6,9 +6,9 @@
 //
 // Every MECSC_CHECKPOINT_EVERY slots the daemon serialises its complete
 // cross-slot decision state — bandit pull counts and means, the rounding
-// RNG's stream position, all three solver warm states (simplex basis,
-// flow arcs/prices, Lagrangian duals — format v2), the engine's committed
-// decision and caching set, the trace byte offset — into a single
+// RNG's stream position, both solver warm states (flow arcs/prices,
+// Lagrangian duals), the engine's committed decision and caching set,
+// the trace byte offset — into a single
 // checksummed file, written crash-consistently: the payload goes to a
 // temporary sibling file, is fsync'd, and is atomically renamed over the
 // previous checkpoint. A crash at any instant therefore leaves either
@@ -20,9 +20,10 @@
 // killed — the twin-trace test in tests/test_serve_crash.cpp holds the
 // daemon to exactly that.
 //
-// Layout: "MECK" magic, format version, u64 payload size, payload,
-// FNV-1a-64 checksum of the payload (the trace format's framing,
-// reused).
+// Layout: "MECK" magic, format version (3; read_checkpoint refuses any
+// other, so a v2 file from before the simplex basis was dropped is
+// rejected), u64 payload size, payload, FNV-1a-64 checksum of the
+// payload (the trace format's framing, reused).
 
 #include <cstdint>
 #include <string>

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -19,6 +20,29 @@ namespace {
 /// so even the last ulp must match (and NaN payloads compare equal).
 bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// A recorded recipe names the env-resolved mode and tier, so kEnv (0)
+// never appears in a genuine trace; neither does the retired simplex
+// tier (2) or a value past the enums. Each is a corrupt trace.
+core::AggregateMode recorded_aggregate(std::uint8_t value) {
+  const auto mode = static_cast<core::AggregateMode>(value);
+  MECSC_CHECK_MSG(mode == core::AggregateMode::kOff ||
+                      mode == core::AggregateMode::kAuto ||
+                      mode == core::AggregateMode::kOn,
+                  "trace recipe names no aggregation mode: byte " +
+                      std::to_string(value));
+  return mode;
+}
+
+core::SolverTier recorded_tier(std::uint8_t value) {
+  const auto tier = static_cast<core::SolverTier>(value);
+  MECSC_CHECK_MSG(tier == core::SolverTier::kFlow ||
+                      tier == core::SolverTier::kLagrangian ||
+                      tier == core::SolverTier::kAuto,
+                  "trace recipe names no live solver tier: byte " +
+                      std::to_string(value));
+  return tier;
 }
 
 }  // namespace
@@ -99,8 +123,8 @@ ReplayResult replay_trace(const std::string& path, ReplayOptions options) {
   // Pin the recorded env-resolved aggregate mode and solver tier: replay
   // must reproduce the run as recorded, not as the current environment
   // would run it.
-  params.aggregate = static_cast<core::AggregateMode>(cfg.aggregate);
-  params.solver = static_cast<core::SolverTier>(cfg.solver);
+  params.aggregate = recorded_aggregate(cfg.aggregate);
+  params.solver = recorded_tier(cfg.solver);
   // Faults are replayed from the records' realised-fault blocks, never
   // from a regenerated plan — build the faults-off problem instance and
   // ignore MECSC_FAULTS entirely.

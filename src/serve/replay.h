@@ -65,8 +65,10 @@ ServeOptions options_from_trace(const TraceConfig& config);
 
 /// Replays `path` through the batch decision engine and verifies bit
 /// identity. Throws common::InvalidArgument on an unreadable/corrupt
-/// trace (unless `options.salvage` truncates the damage away) or a
-/// trace inconsistent with its own recipe (wrong vector sizes); mere
+/// trace (unless `options.salvage` truncates the damage away), a trace
+/// whose recipe names no live aggregation mode or solver tier (kEnv,
+/// the retired simplex tier, or an out-of-range byte), or a trace
+/// inconsistent with its own recipe (wrong vector sizes); mere
 /// decision divergence is reported in the result, not thrown. Traces
 /// recorded under fault churn (records carrying kSlotFlagFaults) replay
 /// through the recorded fault state; no fault plan or MECSC_FAULTS

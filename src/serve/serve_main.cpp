@@ -37,10 +37,17 @@
 namespace {
 
 std::atomic<mecsc::serve::SlotService*> g_service{nullptr};
+// A stop that arrives while the service is still being built (the
+// scenario build takes a while at large horizons) has no service to
+// reach yet; it is parked here and honoured once the service exists.
+std::atomic<bool> g_stop_pending{false};
 
 void handle_signal(int) {
-  // request_stop() is one lock-free atomic store — async-signal-safe.
-  mecsc::serve::SlotService* service = g_service.load(std::memory_order_acquire);
+  // Lock-free atomics only — async-signal-safe. The flag is set before
+  // the service is read, so a signal racing the publication in main()
+  // is seen by one side or the other.
+  g_stop_pending.store(true);
+  mecsc::serve::SlotService* service = g_service.load();
   if (service != nullptr) service->request_stop();
 }
 
@@ -204,11 +211,14 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Handlers go in before the service is built, so a stop during the
+  // build drains, seals the trace and exits 0 like any other stop.
+  std::signal(SIGINT, handle_signal);
+  std::signal(SIGTERM, handle_signal);
   try {
     SlotService service(options);
-    g_service.store(&service, std::memory_order_release);
-    std::signal(SIGINT, handle_signal);
-    std::signal(SIGTERM, handle_signal);
+    g_service.store(&service);
+    if (g_stop_pending.load()) service.request_stop();
 
     std::fprintf(stderr,
                  "mecsc_serve: %zu stations, %zu requests, %zu slots x %zu ms, "
@@ -233,7 +243,7 @@ int main(int argc, char** argv) {
     }
 
     const ServeReport report = service.join();
-    g_service.store(nullptr, std::memory_order_release);
+    g_service.store(nullptr);
 
     std::fprintf(stderr,
                  "mecsc_serve: served %zu slot(s)%s, ingested %llu, shed %llu, "

@@ -80,7 +80,9 @@ class Cursor {
   Cursor(const char* data, std::size_t size) : data_(data), size_(size) {}
   bool take(void* out, std::size_t n) {
     if (n > size_ - pos_) return false;
-    std::memcpy(out, data_ + pos_, n);
+    // An empty vector's data() may be null, and memcpy forbids null
+    // even for zero bytes.
+    if (n > 0) std::memcpy(out, data_ + pos_, n);
     pos_ += n;
     return true;
   }

@@ -44,7 +44,6 @@ const char* aggregate_name(std::uint8_t mode) {
 const char* solver_name(std::uint8_t tier) {
   switch (tier) {
     case 1: return "flow";
-    case 2: return "simplex";
     case 3: return "lagrangian";
     case 4: return "auto";
     default: return "?";

@@ -67,8 +67,8 @@ struct ScenarioParams {
   /// algorithm options so every replication shares one decision.
   core::AggregateMode aggregate = core::AggregateMode::kEnv;
   /// Per-slot LP solver tier (DESIGN.md §16). The default defers to the
-  /// MECSC_SOLVER environment variable ("flow" | "simplex" | "lagrangian"
-  /// | "auto", flow when unset); an explicit tier set here always wins.
+  /// MECSC_SOLVER environment variable ("flow" | "lagrangian" | "auto",
+  /// flow when unset); an explicit tier set here always wins.
   /// Resolved once at construction — read it back via
   /// Scenario::solver_tier() and pass it to OlOptions::solver so every
   /// replication shares one decision.

@@ -1,8 +1,8 @@
 // Tests for demand-class aggregation (DESIGN.md §11): class
-// construction invariants, the exactness of the aggregated objective,
-// de-aggregating rounding, mode resolution, and the end-to-end OL_GD
-// paths (flow, exact LP, parallel replications, fault churn) with
-// aggregation forced on.
+// construction invariants (grouped and singleton builds), the exactness
+// of the aggregated objective, de-aggregating rounding, mode resolution,
+// and the end-to-end OL_GD paths (flow, parallel replications, fault
+// churn) with aggregation forced on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,7 +18,6 @@
 #include "core/aggregation.h"
 #include "core/assignment.h"
 #include "core/fractional_solver.h"
-#include "core/lp_formulation.h"
 #include "core/problem.h"
 #include "core/rounding.h"
 #include "fault/fault_plan.h"
@@ -123,7 +122,9 @@ TEST(DemandClassing, PartitionsRequestsAndSumsAreExact) {
   ASSERT_LE(classing.num_classes(), 60u);
 
   // Round-trip: every request maps to a class of its own service and
-  // home station, and the class sums are exactly the member sums.
+  // home station, the class sums are the member sums, and the class's
+  // wireless term is the ρ-weighted mean (rho_sum·tx_unit_ms equals the
+  // member sum of ρ_l·tx_l up to rounding).
   std::vector<double> rho_sum(classing.num_classes(), 0.0);
   std::vector<double> tx_rho_sum(classing.num_classes(), 0.0);
   std::vector<std::size_t> count(classing.num_classes(), 0);
@@ -140,11 +141,36 @@ TEST(DemandClassing, PartitionsRequestsAndSumsAreExact) {
   for (std::size_t c = 0; c < classing.num_classes(); ++c) {
     EXPECT_NEAR(classing.classes()[c].rho_sum, rho_sum[c],
                 1e-12 * (1.0 + rho_sum[c]));
-    EXPECT_NEAR(classing.classes()[c].tx_rho_sum, tx_rho_sum[c],
-                1e-12 * (1.0 + tx_rho_sum[c]));
+    EXPECT_NEAR(classing.classes()[c].rho_sum * classing.classes()[c].tx_unit_ms,
+                tx_rho_sum[c], 1e-12 * (1.0 + tx_rho_sum[c]));
     EXPECT_EQ(classing.classes()[c].count, count[c]);
     EXPECT_GT(count[c], 0u);
   }
+}
+
+TEST(DemandClassing, SingletonBuildIsOneClassPerRequestInRequestOrder) {
+  Instance inst = make_instance(15, 10, 50);
+  inst.demands[7] = 0.0;  // a zero-demand singleton keeps a finite tx term
+  DemandClassing classing;
+  classing.build(*inst.problem, inst.demands, AggregationOptions{});
+  EXPECT_FALSE(classing.singletons());
+  classing.build_singletons(*inst.problem, inst.demands);
+  EXPECT_TRUE(classing.singletons());
+  ASSERT_EQ(classing.num_classes(), 50u);
+  ASSERT_EQ(classing.num_requests(), 50u);
+  for (std::size_t l = 0; l < 50; ++l) {
+    const DemandClass& c = classing.classes()[l];
+    EXPECT_EQ(classing.class_of_request()[l], l);
+    EXPECT_EQ(c.service, inst.problem->requests()[l].service_id);
+    EXPECT_EQ(c.home_station, inst.problem->requests()[l].home_station);
+    EXPECT_EQ(c.count, 1u);
+    // Exact copies, so the class cost row is the request row bit for bit.
+    EXPECT_EQ(c.rho_sum, inst.demands[l]);
+    EXPECT_EQ(c.tx_unit_ms, inst.problem->tx_unit_ms(l));
+  }
+  EXPECT_DOUBLE_EQ(classing.compression_ratio(), 1.0);
+  classing.build(*inst.problem, inst.demands, AggregationOptions{});
+  EXPECT_FALSE(classing.singletons());
 }
 
 TEST(DemandClassing, EqualDemandsCollapseToOneClassPerServiceHomePair) {
@@ -412,12 +438,10 @@ sim::ScenarioParams agg_params(std::uint64_t seed) {
   return p;
 }
 
-sim::RunResult run_olgd(sim::Scenario& s, core::AggregateMode mode,
-                        bool exact_lp = false) {
+sim::RunResult run_olgd(sim::Scenario& s, core::AggregateMode mode) {
   algorithms::OlOptions opt;
   opt.theta_prior = s.theta_prior();
   opt.aggregate = mode;
-  opt.use_exact_lp = exact_lp;
   auto algo = algorithms::make_ol_gd(s.problem(), s.demands(), opt,
                                      s.algorithm_seed(0));
   return s.simulator().run(*algo);
@@ -434,16 +458,6 @@ TEST(OlGdAggregated, FlowPathRunsWithDelayCloseToPerRequest) {
   // delay stays in the per-request ballpark even on a tiny instance.
   EXPECT_NEAR(agg.mean_delay_ms(), flat.mean_delay_ms(),
               0.15 * flat.mean_delay_ms());
-}
-
-TEST(OlGdAggregated, ExactLpPathAcceptsClasses) {
-  sim::Scenario s(agg_params(42));
-  sim::RunResult agg = run_olgd(s, core::AggregateMode::kOn, /*exact_lp=*/true);
-  ASSERT_EQ(agg.slots.size(), 12u);
-  for (const auto& rec : agg.slots) {
-    EXPECT_TRUE(std::isfinite(rec.avg_delay_ms));
-    EXPECT_GT(rec.avg_delay_ms, 0.0);
-  }
 }
 
 TEST(OlGdAggregated, AutoModeUsesThresholds) {

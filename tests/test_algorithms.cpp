@@ -111,24 +111,6 @@ TEST(OlGd, DeterministicForSameSeed) {
   }
 }
 
-TEST(OlGd, ExactLpPathAgreesWithFlowPathApproximately) {
-  Fixture f(5, 8, 8);
-  OlOptions exact;
-  exact.use_exact_lp = true;
-  exact.epsilon = core::EpsilonSchedule::zero();
-  OlOptions flow;
-  flow.epsilon = core::EpsilonSchedule::zero();
-  OnlineCachingAlgorithm ae("x", *f.problem, f.demands.get(), exact, 5);
-  OnlineCachingAlgorithm af("f", *f.problem, f.demands.get(), flow, 5);
-  core::Assignment da = ae.decide(0);
-  core::Assignment db = af.decide(0);
-  double ca = core::realized_average_delay(*f.problem, da, f.demands->slot(0),
-                                           f.unit_delays[0]);
-  double cb = core::realized_average_delay(*f.problem, db, f.demands->slot(0),
-                                           f.unit_delays[0]);
-  EXPECT_NEAR(ca, cb, 0.5 * std::max(ca, cb));
-}
-
 TEST(OlGd, LastDemandsExposed) {
   Fixture f(6);
   OnlineCachingAlgorithm algo("OL_GD", *f.problem, f.demands.get(), OlOptions{}, 3);

@@ -13,7 +13,6 @@
 #include "algorithms/ol_gd.h"
 #include "common/error.h"
 #include "core/fractional_solver.h"
-#include "core/lp_formulation.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "gan/info_rnn_gan.h"
@@ -250,23 +249,6 @@ TEST(EdgeCases, GanWithMinimalDimensions) {
   EXPECT_LE(pred, 1.0);
 }
 
-TEST(EdgeCases, ExactLpPathOnTinyScenario) {
-  sim::ScenarioParams p;
-  p.num_stations = 6;
-  p.horizon = 3;
-  p.workload.num_requests = 5;
-  p.seed = 29;
-  sim::Scenario s(p);
-  algorithms::OlOptions opt;
-  opt.use_exact_lp = true;
-  auto algo = algorithms::make_ol_gd(s.problem(), s.demands(), opt, 1);
-  sim::RunResult r = s.simulator().run(*algo);
-  EXPECT_EQ(r.slots.size(), 3u);
-  for (const auto& rec : r.slots) {
-    EXPECT_NEAR(rec.capacity_violation_mhz, 0.0, 1e-6);
-  }
-}
-
 TEST(EdgeCases, HistoryFreeScenarioStillProvidesTrace) {
   sim::ScenarioParams p;
   p.num_stations = 10;
@@ -494,27 +476,6 @@ TEST(FaultInjection, RegretStaysBoundedUnderChurn) {
   // really guards is regret blowing up when the oracle degrades too).
   const double per_slot = r.cumulative_regret.back() / 40.0;
   EXPECT_LT(per_slot, s.d_max() * p.fault.outage_penalty_factor);
-}
-
-TEST(FaultInjection, LpFallbackChainEngages) {
-  // A 1-pivot iteration budget starves the warm-started primary solve;
-  // the chain must fall back (Bland restart, then degraded flow) and
-  // still finish the run with finite delays.
-  sim::ScenarioParams p = churn_params(505);
-  p.num_stations = 8;
-  p.workload.num_requests = 6;
-  p.horizon = 10;
-  sim::Scenario s(p);
-  algorithms::OlOptions opt;
-  opt.theta_prior = s.theta_prior();
-  opt.use_exact_lp = true;
-  opt.lp_max_iterations = 1;
-  algorithms::OnlineCachingAlgorithm algo("OL_GD", s.problem(), &s.demands(),
-                                          opt, s.algorithm_seed(0));
-  sim::RunResult r = s.simulator().run(algo);
-  ASSERT_EQ(r.slots.size(), 10u);
-  for (const auto& rec : r.slots) EXPECT_TRUE(std::isfinite(rec.avg_delay_ms));
-  EXPECT_GE(algo.last_fallback_depth(), 1);
 }
 
 TEST(FaultInjection, DegradedSolveKeepsAssignmentsComplete) {

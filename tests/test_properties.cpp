@@ -5,12 +5,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <utility>
 
 #include "algorithms/baselines.h"
 #include "algorithms/ol_gd.h"
+#include "common/rng.h"
+#include "core/aggregation.h"
 #include "core/fractional_solver.h"
+#include "core/lagrangian_solver.h"
 #include "core/rounding.h"
 #include "sim/scenario.h"
+#include "workload/demand_model.h"
 
 namespace mecsc {
 namespace {
@@ -207,6 +214,147 @@ TEST_P(TheoryConsistencyTest, SigmaAndBoundBehaveAcrossScenarios) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TheoryConsistencyTest,
                          ::testing::Values(1, 2, 3));
+
+// ---------------------------------------------------------------------
+// Singleton classes. When no two requests share a (service, home
+// station, demand bucket) key, aggregation builds one class per request
+// in request order — exactly the per-request path's columns. Solves and
+// decisions must then agree bit for bit, on both solver tiers.
+// ---------------------------------------------------------------------
+
+/// Demands in which no two requests share a class key: the j-th request
+/// of each (service, home station) pair draws ρ from [2^(k+j), 2^(k+j+1)),
+/// so its default-ratio bucket is k + j. k keeps the total under half the
+/// network capacity. Now and then a pair's first request idles (ρ = 0,
+/// the zero bucket, which no other member of the pair uses).
+workload::DemandMatrix unique_class_demands(const core::CachingProblem& p,
+                                            std::size_t horizon,
+                                            std::uint64_t seed) {
+  const std::size_t nr = p.num_requests();
+  std::vector<int> rank(nr);
+  std::map<std::pair<std::size_t, std::size_t>, int> seen;
+  double weight = 0.0;  // Σ_l 2^(rank_l + 1)
+  for (std::size_t l = 0; l < nr; ++l) {
+    const auto& r = p.requests()[l];
+    rank[l] = seen[{r.service_id, r.home_station}]++;
+    weight += std::ldexp(1.0, rank[l] + 1);
+  }
+  const double budget =
+      0.5 * p.topology().total_capacity_mhz() / p.options().c_unit_mhz;
+  const int k = static_cast<int>(std::floor(std::log2(budget / weight)));
+  common::Rng rng(seed);
+  workload::DemandMatrix demands(nr, horizon);
+  for (std::size_t t = 0; t < horizon; ++t) {
+    for (std::size_t l = 0; l < nr; ++l) {
+      const double u = 1.0 + rng.uniform();  // [1, 2)
+      const bool idle = rank[l] == 0 && (l + t) % 9 == 0;
+      demands.set(l, t, idle ? 0.0 : std::ldexp(u, k + rank[l]));
+    }
+  }
+  return demands;
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+void expect_bitwise_equal(const core::FractionalSolution& a,
+                          const core::FractionalSolution& b) {
+  EXPECT_TRUE(same_bits(a.objective, b.objective))
+      << a.objective << " vs " << b.objective;
+  ASSERT_EQ(a.x.size(), b.x.size());
+  for (std::size_t l = 0; l < a.x.size(); ++l) {
+    ASSERT_EQ(a.x[l].size(), b.x[l].size());
+    EXPECT_EQ(0, std::memcmp(a.x[l].data(), b.x[l].data(),
+                             a.x[l].size() * sizeof(double)))
+        << "x row " << l;
+  }
+}
+
+class SingletonClassesTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SingletonClassesTest, SolvesAgreeBitForBitWithAggregationOnAndOff) {
+  const std::uint64_t seed = GetParam();
+  sim::ScenarioParams params = scenario_params(seed, false);
+  params.workload.num_requests = 40;
+  sim::Scenario s(params);
+  const core::CachingProblem& p = s.problem();
+  const std::size_t horizon = 6;
+  const workload::DemandMatrix demands = unique_class_demands(p, horizon, seed);
+
+  core::LagrangianOptions lo;
+  lo.max_iterations = 600;
+  lo.target_gap = 0.05;
+  // One solver pair per tier, kept across slots: the warm states must
+  // evolve identically too.
+  core::FractionalSolver flow_classes(p), flow_requests(p);
+  core::LagrangianSolver lag_classes(p, lo), lag_requests(p, lo);
+  std::size_t lag_converged = 0;
+  for (std::size_t t = 0; t < horizon; ++t) {
+    SCOPED_TRACE("slot " + std::to_string(t));
+    const std::vector<double> d = demands.slot(t);
+    core::DemandClassing classing;
+    classing.build(p, d, core::AggregationOptions{});
+    ASSERT_EQ(classing.num_classes(), p.num_requests());  // the premise
+
+    std::vector<double> theta(p.num_stations());
+    for (std::size_t i = 0; i < theta.size(); ++i) {
+      theta[i] = s.d_min() + (s.d_max() - s.d_min()) *
+                                 (0.5 + 0.5 * std::sin(static_cast<double>(seed + 3 * i + t)));
+    }
+    expect_bitwise_equal(flow_classes.solve_classes(classing, theta),
+                         flow_requests.solve(d, theta));
+
+    const core::LagrangianOutcome a = lag_classes.solve_classes(classing, theta);
+    const core::LagrangianOutcome b = lag_requests.solve(d, theta);
+    EXPECT_EQ(a.converged, b.converged);
+    EXPECT_EQ(a.iterations, b.iterations);
+    EXPECT_TRUE(same_bits(a.gap, b.gap));
+    EXPECT_TRUE(same_bits(a.dual_bound, b.dual_bound));
+    expect_bitwise_equal(a.solution, b.solution);
+    lag_converged += a.converged ? 1 : 0;
+  }
+  EXPECT_GT(lag_converged, 0u) << "no Lagrangian solve converged";
+}
+
+TEST_P(SingletonClassesTest, OlGdDecisionsAgreeWithAggregationOnAndOff) {
+  const std::uint64_t seed = GetParam();
+  sim::ScenarioParams params = scenario_params(seed, false);
+  params.workload.num_requests = 40;
+  sim::Scenario s(params);
+  const core::CachingProblem& p = s.problem();
+  const std::size_t horizon = params.horizon;
+  const workload::DemandMatrix demands = unique_class_demands(p, horizon, seed);
+
+  for (const core::SolverTier tier :
+       {core::SolverTier::kFlow, core::SolverTier::kLagrangian}) {
+    SCOPED_TRACE(core::solver_tier_name(tier));
+    algorithms::OlOptions opt;
+    opt.theta_prior = s.theta_prior();
+    opt.solver = tier;
+    opt.lagrangian.max_iterations = 600;
+    opt.lagrangian.target_gap = 0.05;
+    opt.aggregate = core::AggregateMode::kOn;
+    algorithms::OnlineCachingAlgorithm on("on", p, &demands, opt, s.algorithm_seed(0));
+    opt.aggregate = core::AggregateMode::kOff;
+    algorithms::OnlineCachingAlgorithm off("off", p, &demands, opt, s.algorithm_seed(0));
+    std::size_t primary_slots = 0;
+    for (std::size_t t = 0; t < horizon; ++t) {
+      SCOPED_TRACE("slot " + std::to_string(t));
+      const core::Assignment a = on.decide(t);
+      const core::Assignment b = off.decide(t);
+      EXPECT_EQ(on.last_num_classes(), p.num_requests());
+      EXPECT_EQ(off.last_num_classes(), 0u);
+      EXPECT_EQ(on.last_fallback_depth(), off.last_fallback_depth());
+      EXPECT_EQ(a.station_of_request, b.station_of_request);
+      EXPECT_EQ(a.cached, b.cached);
+      primary_slots += on.last_fallback_depth() == 0 ? 1 : 0;
+      on.observe(t, a, demands.slot(t), s.simulator().unit_delays(t));
+      off.observe(t, b, demands.slot(t), s.simulator().unit_delays(t));
+    }
+    EXPECT_GT(primary_slots, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SingletonClassesTest, ::testing::Values(1, 2, 3));
 
 }  // namespace
 }  // namespace mecsc

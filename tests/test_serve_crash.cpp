@@ -199,6 +199,29 @@ TEST(Checkpoint, EveryByteFlipIsATypedError) {
   std::remove(mutant.c_str());
 }
 
+// Format v3 dropped the simplex warm-start basis; the version check
+// refuses a v2 file instead of misreading its layout.
+TEST(Checkpoint, RefusesVersion2) {
+  const std::string path = temp_path("v2.ckpt");
+  Checkpoint ckpt;
+  ckpt.algo.rng_stream = "7 8";
+  write_checkpoint(path, ckpt);
+  std::string bytes = read_file(path);
+  ASSERT_GE(bytes.size(), 6u);
+  bytes[4] = 2;  // the little-endian u16 version follows the 4-byte magic
+  bytes[5] = 0;
+  write_file(path, bytes);
+  try {
+    (void)read_checkpoint(path);
+    ADD_FAILURE() << "a v2 checkpoint was accepted";
+  } catch (const mecsc::common::InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
 // The tentpole acceptance test: SIGKILL the daemon mid-run, --resume,
 // and the completed trace must carry the exact decisions, snapshots,
 // and objectives of a twin run that was never killed.
@@ -517,6 +540,57 @@ TEST(ExitCodes, UsageAndCorruptTraceContract) {
   EXPECT_EQ(run_command(daemon_bin() +
                         " --paced --slots 2 --checkpoint-every 1 2>/dev/null"),
             1);
+}
+
+// A recipe byte naming no live aggregation mode or solver tier — kEnv
+// (0), the retired simplex tier (2), or a value past the enum — is a
+// corrupt trace: replay refuses it with the typed error and --verify
+// exits 3.
+TEST(ExitCodes, RecipeNamingNoLiveTierOrModeIsCorrupt) {
+  const std::string trace = temp_path("recipe.trace");
+  const std::string patched = temp_path("recipe_patched.trace");
+  ASSERT_EQ(run_command(daemon_bin() +
+                        " --stations 8 --requests 16 --services 3 --slots 2"
+                        " --seed 4 --paced --trace-out " +
+                        trace + " 2>/dev/null"),
+            0);
+  const std::string bytes = read_file(trace);
+  const TraceConfig cfg = inspect_trace(trace).config;
+  const std::string recipe = mecsc::serve::serialize_trace_config(cfg);
+  const std::size_t header = bytes.find(recipe);
+  ASSERT_NE(header, std::string::npos);
+  // File offset of one recipe byte: the one index where the canonical
+  // encodings of `cfg` and of `cfg` with that field flipped differ.
+  auto offset_of = [&](std::uint8_t TraceConfig::*field) {
+    TraceConfig other = cfg;
+    other.*field = static_cast<std::uint8_t>(~(cfg.*field));
+    const std::string flipped = mecsc::serve::serialize_trace_config(other);
+    std::size_t i = 0;
+    while (recipe[i] == flipped[i]) ++i;
+    return header + i;
+  };
+  const struct {
+    std::uint8_t TraceConfig::*field;
+    std::uint8_t value;
+  } cases[] = {{&TraceConfig::solver, 0},
+               {&TraceConfig::solver, 2},
+               {&TraceConfig::solver, 9},
+               {&TraceConfig::aggregate, 0},
+               {&TraceConfig::aggregate, 4}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string(c.field == &TraceConfig::solver ? "solver" : "aggregate") +
+                 " byte " + std::to_string(c.value));
+    std::string bad = bytes;
+    bad[offset_of(c.field)] = static_cast<char>(c.value);
+    write_file(patched, bad);
+    EXPECT_THROW(replay_trace(patched), mecsc::common::InvalidArgument);
+    EXPECT_EQ(run_command(daemon_bin() + " --verify " + patched + " 2>/dev/null"),
+              3);
+  }
+  // The untouched trace still verifies.
+  EXPECT_EQ(run_command(daemon_bin() + " --verify " + trace + " 2>/dev/null"), 0);
+  std::remove(trace.c_str());
+  std::remove(patched.c_str());
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // End-to-end tests of the mecsc_serve daemon binary: boot-to-exit runs,
 // the --verify replay gate, graceful SIGINT/SIGTERM shutdown (drained
-// slot, sealed trace, exit 0), and the stdin/stdout JSON query loop.
+// slot, sealed trace, exit 0) mid-run and during start-up, and the
+// stdin/stdout JSON query loop.
 // The binary path comes from the MECSC_SERVE_BIN compile definition
 // ($<TARGET_FILE:mecsc_serve_daemon>).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -102,6 +104,38 @@ TEST(ServeDaemon, SigtermDrainsSealsTraceExitsZero) {
   EXPECT_GE(slots, 1u);
   EXPECT_LT(slots, 100000u);
   // The partial trace still replays bit-for-bit.
+  EXPECT_EQ(run_command(daemon_bin() + " --verify " + trace + " 2>/dev/null"),
+            0);
+  std::remove(trace.c_str());
+}
+
+// A stop that arrives while the daemon is still building its service
+// (the 100 000-slot scenario) is parked until the service exists, then
+// honoured: one slot is served, the trace is sealed, and it exits 0
+// instead of dying by the signal.
+TEST(ServeDaemon, SigtermDuringStartupSealsTraceExitsZero) {
+  const std::string trace = temp_path("startup_sigterm.trace");
+  std::remove(trace.c_str());
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    execl(daemon_bin().c_str(), "mecsc_serve", "--stations", "12", "--requests",
+          "30", "--services", "3", "--slots", "100000", "--slot-ms", "20",
+          "--seed", "5", "--trace-out", trace.c_str(), (char*)nullptr);
+    _exit(127);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_EQ(kill(pid, SIGTERM), 0);
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "daemon died by signal "
+                                 << (WIFSIGNALED(status) ? WTERMSIG(status) : 0);
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+
+  std::size_t slots = 0;
+  EXPECT_TRUE(mecsc::serve::trace_well_formed(trace, &slots));
+  EXPECT_GE(slots, 1u);
+  EXPECT_LT(slots, 100000u);
   EXPECT_EQ(run_command(daemon_bin() + " --verify " + trace + " 2>/dev/null"),
             0);
   std::remove(trace.c_str());

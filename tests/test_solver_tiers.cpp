@@ -1,11 +1,11 @@
 // Tier-equivalence tests of the per-slot LP solver tiers (DESIGN.md
 // §16): MECSC_SOLVER / MECSC_LAG_* resolution, the Lagrangian
-// decomposition's objective agreement with the flow and exact-simplex
-// tiers on fig3/fig6-shaped instances, warm-state validation on both
-// scalable solvers, OL_GD's tier dispatch (explicit > env, kAuto by
-// column count, the gap-miss fallback chain), survival under fault
-// churn on every tier, and the bitwise checkpoint round-trip of the
-// Lagrangian dual state (serve checkpoint format v2).
+// decomposition's objective agreement with the flow tier and the exact
+// simplex oracle on fig3/fig6-shaped instances, warm-state validation on
+// both solvers, OL_GD's tier dispatch (explicit > env, kAuto by column
+// count, the gap-miss fallback chain), survival under fault churn on
+// every tier, and the bitwise checkpoint round-trip of the Lagrangian
+// dual state (serve checkpoint format v3).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -42,7 +42,6 @@ namespace {
 TEST(SolverTierResolution, ExplicitSettingsWinOverEnvironment) {
   setenv("MECSC_SOLVER", "lagrangian", 1);
   EXPECT_EQ(resolve_solver_tier(SolverTier::kFlow), SolverTier::kFlow);
-  EXPECT_EQ(resolve_solver_tier(SolverTier::kSimplex), SolverTier::kSimplex);
   EXPECT_EQ(resolve_solver_tier(SolverTier::kLagrangian),
             SolverTier::kLagrangian);
   EXPECT_EQ(resolve_solver_tier(SolverTier::kAuto), SolverTier::kAuto);
@@ -54,20 +53,21 @@ TEST(SolverTierResolution, EnvParsesAllValuesAndDefaultsFlow) {
   EXPECT_EQ(resolve_solver_tier(SolverTier::kEnv), SolverTier::kFlow);
   setenv("MECSC_SOLVER", "flow", 1);
   EXPECT_EQ(resolve_solver_tier(SolverTier::kEnv), SolverTier::kFlow);
-  setenv("MECSC_SOLVER", "simplex", 1);
-  EXPECT_EQ(resolve_solver_tier(SolverTier::kEnv), SolverTier::kSimplex);
   setenv("MECSC_SOLVER", "lagrangian", 1);
   EXPECT_EQ(resolve_solver_tier(SolverTier::kEnv), SolverTier::kLagrangian);
   setenv("MECSC_SOLVER", "auto", 1);
   EXPECT_EQ(resolve_solver_tier(SolverTier::kEnv), SolverTier::kAuto);
-  setenv("MECSC_SOLVER", "bogus", 1);
-  EXPECT_EQ(resolve_solver_tier(SolverTier::kEnv), SolverTier::kFlow);
+  // Unknown values warn and resolve to flow — including the retired
+  // simplex tier, which is now the test oracle, not a serving tier.
+  for (const char* unknown : {"bogus", "simplex"}) {
+    setenv("MECSC_SOLVER", unknown, 1);
+    EXPECT_EQ(resolve_solver_tier(SolverTier::kEnv), SolverTier::kFlow) << unknown;
+  }
   unsetenv("MECSC_SOLVER");
 }
 
 TEST(SolverTierResolution, NamesAreStable) {
   EXPECT_STREQ(solver_tier_name(SolverTier::kFlow), "flow");
-  EXPECT_STREQ(solver_tier_name(SolverTier::kSimplex), "simplex");
   EXPECT_STREQ(solver_tier_name(SolverTier::kLagrangian), "lagrangian");
   EXPECT_STREQ(solver_tier_name(SolverTier::kAuto), "auto");
 }
@@ -134,10 +134,10 @@ Instance make_instance(std::uint64_t seed, std::size_t stations,
   return inst;
 }
 
-/// All three tiers solve the same relaxation with the same cost model
-/// and score with the true Eq. 3 objective, so their objectives must sit
-/// within (duality gap + tiny-instance amortization error) of each
-/// other. The 1% at-scale agreement is gated by bench_scale; these
+/// Both tiers and the simplex oracle solve the same relaxation with the
+/// same cost model and score with the true Eq. 3 objective, so their
+/// objectives must sit within (duality gap + tiny-instance amortization
+/// error) of each other. The 1% at-scale agreement is gated by bench_scale; these
 /// deliberately tiny instances get the same slack test_core grants the
 /// flow-vs-simplex pair.
 class TierEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -277,7 +277,7 @@ TEST(LagrangianWarmStateTest, RoundTripsAndRejectsBadSnapshots) {
   other.import_warm_state(bad);
   EXPECT_TRUE(other.export_warm_state().lambda.empty());
 
-  // An empty λ is a valid cold start (a v2 checkpoint written by a
+  // An empty λ is a valid cold start (a checkpoint written by a
   // flow-tier run), not a rejection; step_scale clamps into its bounds.
   LagrangianWarmState cold;
   cold.step_scale = 100.0;
@@ -356,7 +356,7 @@ sim::RunResult run_tier(sim::Scenario& s, core::SolverTier tier,
 }
 
 /// Fig. 3-shaped (constant given demands) and Fig. 6-shaped (bursty)
-/// scenarios: the three tiers run the same bandit/rounding machinery on
+/// scenarios: both tiers run the same bandit/rounding machinery on
 /// fractional solutions of the same relaxation, so realised mean delays
 /// stay in one ballpark.
 TEST(OlGdSolverTiers, TiersAgreeOnFig3AndFig6ShapedRuns) {
@@ -371,13 +371,8 @@ TEST(OlGdSolverTiers, TiersAgreeOnFig3AndFig6ShapedRuns) {
     const sim::RunResult lag =
         run_tier(s, core::SolverTier::kLagrangian, {}, &algo, &keep);
     EXPECT_EQ(algo->last_solver_tier(), core::SolverTier::kLagrangian);
-    const sim::RunResult simplex =
-        run_tier(s, core::SolverTier::kSimplex, {}, &algo, &keep);
-    EXPECT_EQ(algo->last_solver_tier(), core::SolverTier::kSimplex);
     for (const auto& rec : lag.slots) EXPECT_TRUE(std::isfinite(rec.avg_delay_ms));
     EXPECT_NEAR(lag.mean_delay_ms(), flow.mean_delay_ms(),
-                0.15 * flow.mean_delay_ms());
-    EXPECT_NEAR(simplex.mean_delay_ms(), flow.mean_delay_ms(),
                 0.15 * flow.mean_delay_ms());
   }
 }
@@ -397,7 +392,7 @@ TEST(OlGdSolverTiers, AutoTierPicksByColumnCount) {
   EXPECT_EQ(algo->last_solver_tier(), core::SolverTier::kFlow);
 }
 
-TEST(OlGdSolverTiers, ExplicitTierAndLegacyFlagWinOverEnvironment) {
+TEST(OlGdSolverTiers, ExplicitTierWinsOverEnvironment) {
   setenv("MECSC_SOLVER", "lagrangian", 1);
   sim::Scenario s(tier_params(93));
   algorithms::OnlineCachingAlgorithm* algo = nullptr;
@@ -409,11 +404,6 @@ TEST(OlGdSolverTiers, ExplicitTierAndLegacyFlagWinOverEnvironment) {
   // kEnv defers to MECSC_SOLVER.
   (void)run_tier(s, core::SolverTier::kEnv, {}, &algo, &keep);
   EXPECT_EQ(algo->last_solver_tier(), core::SolverTier::kLagrangian);
-  // use_exact_lp is the legacy spelling of kSimplex and wins over both.
-  algorithms::OlOptions opt;
-  opt.use_exact_lp = true;
-  (void)run_tier(s, core::SolverTier::kEnv, opt, &algo, &keep);
-  EXPECT_EQ(algo->last_solver_tier(), core::SolverTier::kSimplex);
   unsetenv("MECSC_SOLVER");
 }
 
@@ -438,8 +428,7 @@ TEST(OlGdSolverTiers, GapMissFallsBackToFlowPath) {
 
 TEST(OlGdSolverTiers, EveryTierSurvivesFaultChurn) {
   for (const core::SolverTier tier :
-       {core::SolverTier::kFlow, core::SolverTier::kSimplex,
-        core::SolverTier::kLagrangian}) {
+       {core::SolverTier::kFlow, core::SolverTier::kLagrangian}) {
     SCOPED_TRACE(core::solver_tier_name(tier));
     sim::ScenarioParams p = tier_params(95);
     p.horizon = 40;
@@ -491,7 +480,7 @@ TEST(OlGdSolverTiers, StateExportCarriesLagrangianDuals) {
 }
 
 // ---------------------------------------------------------------------
-// Checkpoint round-trip of the dual state (serve format v2).
+// Checkpoint round-trip of the dual state (serve format v3).
 // ---------------------------------------------------------------------
 
 TEST(LagrangianCheckpoint, DualStateRoundTripsBitwise) {

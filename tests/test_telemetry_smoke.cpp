@@ -1,9 +1,9 @@
-// End-to-end telemetry smoke test (ISSUE satellite f): runs a tiny
-// scenario under MECSC_TELEMETRY=full with OL_GD (exact-LP variant so
-// the simplex counters fire), exports the default registry as JSONL,
-// and asserts the dump carries the series the acceptance criteria name:
-// simplex iteration counts, OL_GD explore/exploit counts, and finite
-// per-slot delays.
+// End-to-end telemetry smoke test: runs a tiny scenario under
+// MECSC_TELEMETRY=full with OL_GD on the flow tier, exports the default
+// registry as JSONL, and asserts the dump carries the solver series
+// (flow solves and augmentations), OL_GD explore/exploit counts, and
+// finite per-slot delays. (CI's bench_perf dump checks the simplex
+// oracle's series.)
 
 #include <gtest/gtest.h>
 
@@ -64,7 +64,7 @@ TEST(TelemetrySmoke, FullDumpCarriesSolverAndSlotSeries) {
 
   algorithms::OlOptions opt;
   opt.theta_prior = s.theta_prior();
-  opt.use_exact_lp = true;  // routes through lp::SimplexSolver
+  opt.solver = core::SolverTier::kFlow;  // routes through the flow solver
   auto ol = algorithms::make_ol_gd(s.problem(), s.demands(), opt,
                                    s.algorithm_seed(0));
   sim::RunResult r = s.simulator().run(*ol);
@@ -82,13 +82,13 @@ TEST(TelemetrySmoke, FullDumpCarriesSolverAndSlotSeries) {
   auto lines = lines_of(out.str());
   ASSERT_FALSE(lines.empty());
 
-  // Simplex ran and iterated.
-  const double solves = series_value(lines, "simplex.solves");
-  const double iters = series_value(lines, "simplex.iterations");
-  EXPECT_TRUE(std::isfinite(solves)) << "simplex.solves series missing";
-  EXPECT_TRUE(std::isfinite(iters)) << "simplex.iterations series missing";
+  // The flow solver ran and augmented.
+  const double solves = series_value(lines, "frac.solves");
+  const double augmentations = series_value(lines, "mcf.augmentations");
+  EXPECT_TRUE(std::isfinite(solves)) << "frac.solves series missing";
+  EXPECT_TRUE(std::isfinite(augmentations)) << "mcf.augmentations series missing";
   EXPECT_GE(solves, static_cast<double>(p.horizon));
-  EXPECT_GT(iters, 0.0);
+  EXPECT_GT(augmentations, 0.0);
 
   // OL_GD explore/exploit accounting covers every request of every slot.
   const double explore = series_value(lines, "olgd.explore_requests");
@@ -115,7 +115,7 @@ TEST(TelemetrySmoke, FullDumpCarriesSolverAndSlotSeries) {
   const std::string dump = out.str();
   EXPECT_NE(dump.find("span.algo.decide"), std::string::npos);
   EXPECT_NE(dump.find("span.sim.score"), std::string::npos);
-  EXPECT_NE(dump.find("span.lp.solve"), std::string::npos);
+  EXPECT_NE(dump.find("span.frac.solve"), std::string::npos);
 
   obs::default_registry().clear();
   obs::set_level(obs::Level::kOff);
