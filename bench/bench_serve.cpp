@@ -1,9 +1,9 @@
 // Streaming-service bench (DESIGN.md §14): exercises the mecsc::serve
 // subsystem end to end and enforces its acceptance gates.
 //
-//   1. Raw sharded-ingest throughput: multiple producers push demand
-//      events through the lock-free ShardedIngestQueue against a
-//      concurrently draining consumer. Gate: >= 1M events/s.
+//   1. Raw ingest throughput: multiple producers push demand events
+//      through the service's lock-free MpscRing against a concurrently
+//      draining consumer. Gate: >= 1M events/s.
 //   2. Pipelined slot service at the paper's 100-station scale: a paced
 //      run through the full predict -> aggregate -> LP -> round path.
 //      Gate: p99 decide latency below the slot deadline.
@@ -34,48 +34,52 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 using mecsc::serve::IngestEvent;
+using mecsc::serve::MpscRing;
 using mecsc::serve::ReplayResult;
 using mecsc::serve::ServeOptions;
 using mecsc::serve::ServeReport;
-using mecsc::serve::ShardedIngestQueue;
 using mecsc::serve::SlotService;
 
 double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
 
-/// Part 1: events/second through the sharded queue under contention.
+/// Slot deadline of the part-2 latency gate. Service re-caching slots
+/// are coarse (the paper's t indexes periods, not frames), and a full
+/// 400-request x 100-station LP+rounding decide measures ~1 s on a
+/// laptop core; 2 s keeps the gate meaningful (~2x headroom) without
+/// tripping on machine noise.
+constexpr std::size_t kSlotDeadlineMs = 2000;
+
+/// Part 1: events/second through the ingest ring under contention, at
+/// the service's default ring size.
 double ingest_throughput(std::size_t producers, std::size_t events_total) {
-  ShardedIngestQueue queue(8, 65536);
+  MpscRing queue(ServeOptions{}.queue_capacity);
   const std::size_t per_producer = events_total / producers;
   std::atomic<bool> go{false};
   std::vector<std::thread> threads;
   threads.reserve(producers);
   for (std::size_t p = 0; p < producers; ++p) {
-    threads.emplace_back([&queue, &go, p, per_producer] {
+    threads.emplace_back([&queue, &go, per_producer] {
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       for (std::size_t i = 0; i < per_producer; ++i) {
         const IngestEvent ev{static_cast<std::uint32_t>(i & 0x3FF),
                              static_cast<std::uint32_t>(i >> 10), 1.0};
-        const std::size_t home = (p * 37 + i) % 100;  // 100-station spread
-        while (!queue.try_push(home, ev)) std::this_thread::yield();
+        while (!queue.try_push(ev)) std::this_thread::yield();
       }
     });
   }
   const std::size_t expected = per_producer * producers;
-  std::vector<IngestEvent> buffer;
-  buffer.reserve(1 << 14);
   const auto start = Clock::now();
   go.store(true, std::memory_order_release);
   std::size_t drained = 0;
+  IngestEvent ev;
   while (drained < expected) {
-    buffer.clear();
-    const std::size_t n = queue.drain(buffer, static_cast<std::size_t>(-1));
-    if (n == 0) {
+    if (queue.try_pop(ev)) {
+      ++drained;
+    } else {
       std::this_thread::yield();
-      continue;
     }
-    drained += n;
   }
   const auto stop = Clock::now();
   for (std::thread& t : threads) t.join();
@@ -111,14 +115,14 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
   }
   mecsc::bench::print_header(
-      std::string("Streaming decision service: sharded ingest, pipelined "
+      std::string("Streaming decision service: lock-free ingest, pipelined "
                   "slots, trace replay") +
           (quick ? " [--quick]" : ""),
       "DESIGN.md §14; BENCH_serve.json");
 
   std::vector<std::string> gate_failures;
 
-  // --- 1. Sharded ingest throughput (gate: >= 1M events/s). ---------------
+  // --- 1. Ingest throughput (gate: >= 1M events/s). -----------------------
   const std::size_t producers = 4;
   const std::size_t events = quick ? 1'000'000 : 4'000'000;
   const double events_per_sec = ingest_throughput(producers, events);
@@ -127,7 +131,7 @@ int main(int argc, char** argv) {
     char rate[64];
     std::snprintf(rate, sizeof(rate), "%.3g", events_per_sec);
     table.add_row({std::to_string(producers), std::to_string(events), rate});
-    mecsc::bench::print_table("sharded ingest throughput", table);
+    mecsc::bench::print_table("ingest throughput", table);
   }
   if (events_per_sec < 1e6) {
     gate_failures.push_back("ingest throughput below 1M events/s");
@@ -140,12 +144,7 @@ int main(int argc, char** argv) {
   options.num_requests = quick ? 200 : 400;
   options.num_services = 10;
   options.horizon = quick ? 12 : 60;
-  // Slot deadline for the latency gate: service re-caching slots are
-  // coarse (the paper's t indexes periods, not frames), and a full
-  // 400-request x 100-station LP+rounding decide measures ~1 s on a
-  // laptop core. 2 s keeps the gate meaningful (~2x headroom) without
-  // tripping on machine noise; MECSC_SERVE_SLOT_MS still overrides.
-  options.slot_ms = mecsc::bench::env_size("MECSC_SERVE_SLOT_MS", 2000);
+  options.slot_ms = kSlotDeadlineMs;
   options.producers = 4;
   options.paced = true;  // deterministic; slot_ms stays the latency deadline
   options.trace_out = "BENCH_serve.trace";

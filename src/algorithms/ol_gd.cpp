@@ -136,11 +136,7 @@ core::Assignment OnlineCachingAlgorithm::decide(std::size_t t) {
   // 1. Columns (DESIGN.md §11): demand classes when aggregation resolves
   //    on, one singleton class per request otherwise. Everything below
   //    runs the same code either way.
-  const bool aggregate =
-      aggregate_mode_ == core::AggregateMode::kOn ||
-      (aggregate_mode_ == core::AggregateMode::kAuto &&
-       problem_->num_requests() >= options_.aggregation.auto_threshold);
-  if (aggregate) {
+  if (aggregate_mode_ == core::AggregateMode::kOn) {
     classing_.build(*problem_, last_demands_, options_.aggregation);
     last_num_classes_ = classing_.num_classes();
     MECSC_COUNT("agg.slots", 1.0);
@@ -152,18 +148,6 @@ core::Assignment OnlineCachingAlgorithm::decide(std::size_t t) {
     classing_.build_singletons(*problem_, last_demands_);
     last_num_classes_ = 0;
   }
-
-  // Solver tier (DESIGN.md §16): kAuto resolves per slot by column count
-  // — the Lagrangian decomposition only pays for itself once the column
-  // universe is large; below the threshold the flow path is already
-  // exact and fast.
-  core::SolverTier tier = solver_tier_;
-  if (tier == core::SolverTier::kAuto) {
-    tier = classing_.num_classes() >= options_.lagrangian.auto_threshold
-               ? core::SolverTier::kLagrangian
-               : core::SolverTier::kFlow;
-  }
-  last_solver_tier_ = tier;
 
   // 2.-3. Solver fallback chain (graceful degradation, DESIGN.md §9):
   //   depth 0  the primary solve (Lagrangian or flow);
@@ -178,7 +162,7 @@ core::Assignment OnlineCachingAlgorithm::decide(std::size_t t) {
   last_fallback_depth_ = 0;
   const int hint = decide_hint_;
   decide_hint_ = 0;
-  if (tier == core::SolverTier::kLagrangian) {
+  if (solver_tier_ == core::SolverTier::kLagrangian) {
     if (hint >= 2) {
       last_fallback_depth_ = 2;
     } else {

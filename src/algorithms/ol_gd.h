@@ -51,8 +51,8 @@ struct OlOptions {
   /// Demand-class aggregation (DESIGN.md §11): formulate the per-slot LP
   /// over (service, home station, demand bucket) classes instead of one
   /// singleton class per request, and de-aggregate during rounding. kEnv
-  /// (the default) defers to MECSC_AGGREGATE; an explicit kOff/kAuto/kOn
-  /// set in code always wins over the environment.
+  /// (the default) defers to MECSC_AGGREGATE; an explicit kOff/kOn set
+  /// in code always wins over the environment.
   core::AggregateMode aggregate = core::AggregateMode::kEnv;
   /// Class-construction tunables used when aggregation is active.
   core::AggregationOptions aggregation;
@@ -60,9 +60,9 @@ struct OlOptions {
   /// default) defers to MECSC_SOLVER; an explicit tier set in code wins
   /// over the environment.
   core::SolverTier solver = core::SolverTier::kEnv;
-  /// Lagrangian-tier tunables (iteration cap, target duality gap, kAuto
-  /// column threshold); defaults resolve MECSC_LAG_ITERS / MECSC_LAG_GAP
-  /// once at options construction.
+  /// Lagrangian-tier tunables (iteration cap, target duality gap);
+  /// defaults resolve MECSC_LAG_ITERS / MECSC_LAG_GAP once at options
+  /// construction.
   core::LagrangianOptions lagrangian = core::lagrangian_options_from_env();
 };
 
@@ -145,16 +145,14 @@ class OnlineCachingAlgorithm final : public CachingAlgorithm {
   int last_fallback_depth() const noexcept { return last_fallback_depth_; }
 
   /// Demand classes the latest decide() solved over; 0 when it ran the
-  /// per-request path (singleton classes: aggregation off, or kAuto
-  /// below its threshold).
+  /// per-request path (singleton classes: aggregation off).
   std::size_t last_num_classes() const noexcept { return last_num_classes_; }
 
-  /// The solver tier of the latest decide() after kEnv/kAuto resolution
-  /// — kFlow or kLagrangian. Note a Lagrangian solve that failed its
-  /// duality-gap target still reports kLagrangian with
-  /// last_fallback_depth() >= 1 (the fractional solution then came from
-  /// the exact flow path).
-  core::SolverTier last_solver_tier() const noexcept { return last_solver_tier_; }
+  /// The solver tier decide() runs after kEnv resolution — kFlow or
+  /// kLagrangian. Note a Lagrangian solve that failed its duality-gap
+  /// target still reports kLagrangian with last_fallback_depth() >= 1
+  /// (the fractional solution then came from the exact flow path).
+  core::SolverTier last_solver_tier() const noexcept { return solver_tier_; }
 
   /// Snapshots the complete cross-slot decision state (see OlGdState).
   OlGdState export_state() const;
@@ -183,10 +181,8 @@ class OnlineCachingAlgorithm final : public CachingAlgorithm {
   core::FractionalSolver solver_;
   core::LagrangianSolver lag_solver_;
   // Env-resolved solver tier, fixed at construction (same rationale as
-  // aggregate_mode_ below); kAuto survives resolution and is re-resolved
-  // per slot by column count.
+  // aggregate_mode_ below).
   core::SolverTier solver_tier_ = core::SolverTier::kFlow;
-  core::SolverTier last_solver_tier_ = core::SolverTier::kFlow;
   core::BanditState bandit_;
   common::Rng rng_;
   std::vector<double> last_demands_;

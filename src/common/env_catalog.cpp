@@ -7,12 +7,8 @@ namespace mecsc::common {
 
 const std::vector<EnvVar>& env_catalog() {
   static const std::vector<EnvVar> catalog = {
-      {"MECSC_AGGREGATE", "enum: off|auto|on", "off",
-       "Demand-class aggregation of the per-slot solve (DESIGN.md §11); "
-       "auto aggregates only at >= 1024 requests."},
-      {"MECSC_CHECKPOINT_EVERY", "size_t", "0 (off)",
-       "Durable decision-state checkpoint every N slots in mecsc_serve; "
-       "requires a trace, restored by --resume (DESIGN.md §15)."},
+      {"MECSC_AGGREGATE", "enum: off|on", "off",
+       "Demand-class aggregation of the per-slot solve (DESIGN.md §11)."},
       {"MECSC_FAULTS", "enum: off|churn", "off",
        "Fault-injection mode override for scenarios and benches "
        "(DESIGN.md §9)."},
@@ -25,32 +21,12 @@ const std::vector<EnvVar>& env_catalog() {
       {"MECSC_LAG_ITERS", "size_t", "200",
        "Subgradient-ascent iteration cap per Lagrangian solve "
        "(DESIGN.md §16)."},
-      {"MECSC_PREDICT_BATCH", "size_t", "1024",
-       "Max histories per fused GAN inference pass; results are bitwise "
-       "independent of the value (DESIGN.md \"SIMD & batching\")."},
       {"MECSC_REQUESTS", "size_t", "per bench (100)",
        "Requests per topology replication in the bench harnesses."},
-      {"MECSC_SERVE_QUEUE_CAP", "size_t", "65536",
-       "Ingest-queue cells per shard in mecsc_serve (rounded up to a "
-       "power of two); a full shard sheds load (DESIGN.md §14)."},
-      {"MECSC_SERVE_RETRY_CAP", "size_t", "64",
-       "Bounded submit retries (yield, then exponential backoff) before "
-       "a full shard sheds the event (DESIGN.md §15)."},
-      {"MECSC_SERVE_SHARDS", "size_t", "8",
-       "Ingest-queue shards in mecsc_serve; events shard by the "
-       "request's home station (DESIGN.md §14)."},
-      {"MECSC_SERVE_SLOT_MS", "size_t", "100",
-       "Wall-clock slot length of mecsc_serve in milliseconds; doubles "
-       "as the decide-latency deadline (DESIGN.md §14)."},
-      {"MECSC_SIMD", "enum: off|auto", "auto",
-       "SIMD kernel dispatch: off forces the scalar reference path; auto "
-       "uses AVX2 when compiled in and the CPU supports it (DESIGN.md "
-       "\"SIMD & batching\")."},
       {"MECSC_SLOTS", "size_t", "per bench (100-400)",
        "Run-horizon time slots in the bench harnesses."},
-      {"MECSC_SOLVER", "enum: flow|lagrangian|auto", "flow",
-       "Per-slot LP solver tier (DESIGN.md §16); auto picks lagrangian "
-       "at >= 4096 LP columns, flow below."},
+      {"MECSC_SOLVER", "enum: flow|lagrangian", "flow",
+       "Per-slot LP solver tier (DESIGN.md §16)."},
       {"MECSC_STATIONS", "size_t", "per bench (100)",
        "Base stations in the bench harnesses."},
       {"MECSC_TELEMETRY", "enum: off|summary|full", "off",
@@ -61,9 +37,6 @@ const std::vector<EnvVar>& env_catalog() {
        "JSONL)."},
       {"MECSC_TOPOLOGIES", "size_t", "per bench (3-8)",
        "Topology replications each bench averages over (paper: 80)."},
-      {"MECSC_TRACE_OUT", "path", "unset (no trace)",
-       "Binary decision-trace output file of mecsc_serve; replayable "
-       "bit-for-bit with --verify (DESIGN.md §14)."},
       {"MECSC_WORKERS", "size_t", "hardware concurrency",
        "Replication worker threads; results are bitwise independent of "
        "the value."},

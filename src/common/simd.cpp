@@ -1,34 +1,14 @@
 #include "common/simd.h"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-
 namespace mecsc::common::simd {
 
 namespace {
 
-bool cpu_supports_avx2_fma() {
-#if defined(MECSC_SIMD_AVX2)
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
-
-enum class Why { kActive, kCompiledOut, kCpu, kEnv };
+enum class Why { kActive, kCompiledOut, kCpu };
 
 Why decide() {
   if (!kCompiledAvx2) return Why::kCompiledOut;
-  if (!cpu_supports_avx2_fma()) return Why::kCpu;
-  const char* v = std::getenv("MECSC_SIMD");
-  if (v != nullptr && *v != '\0') {
-    if (std::strcmp(v, "off") == 0) return Why::kEnv;
-    if (std::strcmp(v, "auto") != 0) {
-      std::fprintf(stderr,
-                   "mecsc: ignoring MECSC_SIMD=\"%s\" — expected off|auto\n", v);
-    }
-  }
+  if (!cpu_has_avx2() || !cpu_has_fma()) return Why::kCpu;
   return Why::kActive;
 }
 
@@ -64,7 +44,6 @@ const char* scalar_reason() {
     case Why::kActive: return "";
     case Why::kCompiledOut: return "compiled-out";
     case Why::kCpu: return "cpu";
-    case Why::kEnv: return "env";
   }
   return "";
 }

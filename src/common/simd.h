@@ -4,20 +4,19 @@
 // SIMD dispatch policy shared by the vectorized kernels in nn/ and flow/
 // (DESIGN.md "SIMD & batching").
 //
-// Three gates must all be open for a vector kernel to run:
+// Two gates must both be open for a vector kernel to run:
 //   1. compile time — the AVX2 kernels exist only on x86-64 GCC/Clang
 //      builds and can be compiled out entirely with -DMECSC_FORCE_SCALAR
-//      (the CI scalar-fallback leg);
+//      (the CI force-scalar leg);
 //   2. run time, hardware — the CPU must report AVX2+FMA (kernels are
 //      emitted with the target("avx2,fma") function attribute, so the
 //      surrounding binary needs no -mavx2 and stays runnable on any
-//      x86-64 machine);
-//   3. run time, policy — MECSC_SIMD=off forces the scalar reference
-//      path, which is bit-for-bit the pre-SIMD implementation.
+//      x86-64 machine).
 //
 // Every vectorized kernel keeps its scalar reference implementation
-// callable (nn::scalar::*), and the dispatch is per-call on a cached
-// flag, so flipping MECSC_SIMD never requires a rebuild.
+// (nn::scalar::*, the scalar loops of flow::MinCostFlow): a scalar build
+// and a non-AVX2 host run them, and tests/test_simd.cpp compares the
+// vector kernels against them.
 
 namespace mecsc::common::simd {
 
@@ -35,16 +34,15 @@ bool cpu_has_avx2();
 /// CPU reports FMA3.
 bool cpu_has_fma();
 
-/// True when the AVX2 kernels should run: compiled in, supported by the
-/// CPU, and not disabled via MECSC_SIMD=off. Cached after the first call
-/// (the environment is read once per process).
+/// True when the AVX2 kernels should run: compiled in and supported by
+/// the CPU. Cached after the first call.
 bool active();
 
 /// Active dispatch mode as a short stable string: "avx2" or "scalar".
 const char* mode_name();
 
-/// Why the scalar path is active (for logs/JSON): "", "compiled-out",
-/// "cpu", or "env" — empty when SIMD is active.
+/// Why the scalar path is active (for logs/JSON): "", "compiled-out" or
+/// "cpu" — empty when SIMD is active.
 const char* scalar_reason();
 
 }  // namespace mecsc::common::simd

@@ -42,38 +42,6 @@ double RunningStats::sample_variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (!(lo < hi)) throw std::invalid_argument("Histogram: lo must be < hi");
-  if (bins == 0) throw std::invalid_argument("Histogram: bins must be > 0");
-}
-
-void Histogram::add(double x) noexcept {
-  double f = (x - lo_) / (hi_ - lo_);
-  auto b = static_cast<std::ptrdiff_t>(f * static_cast<double>(counts_.size()));
-  b = std::clamp<std::ptrdiff_t>(b, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(b)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t b) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(b) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t b) const { return bin_lo(b + 1); }
-
-double Histogram::quantile(double q) const {
-  if (total_ == 0) return lo_;
-  q = std::clamp(q, 0.0, 1.0);
-  auto target = static_cast<std::size_t>(q * static_cast<double>(total_));
-  std::size_t acc = 0;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    acc += counts_[b];
-    if (acc > target) return 0.5 * (bin_lo(b) + bin_hi(b));
-  }
-  return hi_;
-}
-
 double mean_of(const std::vector<double>& v) noexcept {
   if (v.empty()) return 0.0;
   double s = 0.0;

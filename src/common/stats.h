@@ -40,28 +40,6 @@ class RunningStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Fixed-bin histogram over [lo, hi); samples outside the range clamp to
-/// the first/last bin. Used to characterise bursty demand distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  std::size_t bin_count(std::size_t b) const { return counts_.at(b); }
-  std::size_t bins() const noexcept { return counts_.size(); }
-  std::size_t total() const noexcept { return total_; }
-  double bin_lo(std::size_t b) const;
-  double bin_hi(std::size_t b) const;
-  /// Approximate quantile from bin midpoints; q in [0,1].
-  double quantile(double q) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 /// Mean of a vector; 0 for empty input.
 double mean_of(const std::vector<double>& v) noexcept;
 

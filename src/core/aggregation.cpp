@@ -15,11 +15,9 @@ AggregateMode resolve_aggregate_mode(AggregateMode configured) {
   const char* v = std::getenv("MECSC_AGGREGATE");
   if (v == nullptr || *v == '\0') return AggregateMode::kOff;
   if (std::strcmp(v, "off") == 0) return AggregateMode::kOff;
-  if (std::strcmp(v, "auto") == 0) return AggregateMode::kAuto;
   if (std::strcmp(v, "on") == 0) return AggregateMode::kOn;
   std::fprintf(stderr,
-               "mecsc: ignoring MECSC_AGGREGATE=\"%s\" — expected off, auto "
-               "or on\n",
+               "mecsc: ignoring MECSC_AGGREGATE=\"%s\" — expected off or on\n",
                v);
   return AggregateMode::kOff;
 }

@@ -15,20 +15,21 @@ namespace mecsc::core {
 /// demand classes keeps the optimisation core's work proportional to the
 /// number of *distinct* (service, home station, demand bucket) profiles
 /// instead, which is what makes 100k-request slots tractable.
+///
+/// The values are part of the trace format (TraceConfig::aggregate), so
+/// they are explicit and never reused; value 2 was the retired auto
+/// mode.
 enum class AggregateMode {
   /// Resolve from the MECSC_AGGREGATE environment variable
-  /// ("off" | "auto" | "on"); unset, empty or unparsable values mean
-  /// kOff. This is the library default, so every bench and example
-  /// honours the env switch without code changes.
-  kEnv,
+  /// ("off" | "on"); unset, empty or unparsable values mean kOff. This
+  /// is the library default, so every bench and example honours the env
+  /// switch without code changes.
+  kEnv = 0,
   /// Never aggregate: the per-request path, bit-for-bit identical to the
   /// pre-aggregation library.
-  kOff,
-  /// Aggregate only when the instance is large enough for the class
-  /// machinery to pay for itself (AggregationOptions::auto_threshold).
-  kAuto,
+  kOff = 1,
   /// Always formulate the per-slot LP over demand classes.
-  kOn,
+  kOn = 3,
 };
 
 /// Maps kEnv to the MECSC_AGGREGATE environment variable (defaulting to
@@ -52,9 +53,6 @@ struct AggregationOptions {
   /// magnitude (class cost coefficients stay exact sums regardless of
   /// the ratio — only within-class demand heterogeneity grows).
   double bucket_ratio = 2.0;
-  /// kAuto aggregates only when the instance has at least this many
-  /// requests; below it the per-request path is already fast and exact.
-  std::size_t auto_threshold = 1024;
 };
 
 /// One demand class: the requests of one service, homed at one base

@@ -25,11 +25,6 @@ struct LagrangianOptions {
   /// (best primal − best dual) / max(best dual, ε) of the relaxed
   /// transportation LP drops below this.
   double target_gap = 0.01;
-  /// SolverTier::kAuto picks the lagrangian tier only when the slot's LP
-  /// has at least this many columns (demand classes when aggregation is
-  /// active, requests otherwise); below it the certified flow solve is
-  /// already fast and exact.
-  std::size_t auto_threshold = 4096;
 };
 
 /// LagrangianOptions with MECSC_LAG_ITERS / MECSC_LAG_GAP applied over

@@ -46,12 +46,6 @@ CachingProblem::CachingProblem(const net::Topology* topology,
   recompute_wireless_terms();
 }
 
-double CachingProblem::total_effective_capacity_mhz() const {
-  double total = 0.0;
-  for (double c : effective_capacity_) total += c;
-  return total;
-}
-
 void CachingProblem::set_station_capacities(const std::vector<double>& capacities) {
   MECSC_CHECK_MSG(capacities.size() == topology_->num_stations(),
                   "capacity vector size mismatch");

@@ -123,9 +123,6 @@ class CachingProblem {
     return effective_capacity_[station] > 0.0;
   }
 
-  /// Sum of the current effective capacities.
-  double total_effective_capacity_mhz() const;
-
   /// Installs a per-slot effective-capacity view (fault injection:
   /// outages set a station to 0, derating scales it down). Sizes must
   /// match num_stations(); values must be in [0, static capacity].

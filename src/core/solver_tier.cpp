@@ -12,10 +12,9 @@ SolverTier resolve_solver_tier(SolverTier configured) {
   if (v == nullptr || *v == '\0') return SolverTier::kFlow;
   if (std::strcmp(v, "flow") == 0) return SolverTier::kFlow;
   if (std::strcmp(v, "lagrangian") == 0) return SolverTier::kLagrangian;
-  if (std::strcmp(v, "auto") == 0) return SolverTier::kAuto;
   std::fprintf(stderr,
-               "mecsc: ignoring MECSC_SOLVER=\"%s\" — expected flow, lagrangian "
-               "or auto\n",
+               "mecsc: ignoring MECSC_SOLVER=\"%s\" — expected flow or "
+               "lagrangian\n",
                v);
   return SolverTier::kFlow;
 }
@@ -28,8 +27,6 @@ const char* solver_tier_name(SolverTier tier) {
       return "flow";
     case SolverTier::kLagrangian:
       return "lagrangian";
-    case SolverTier::kAuto:
-      return "auto";
   }
   return "?";
 }

@@ -1,8 +1,6 @@
 #ifndef MECSC_CORE_SOLVER_TIER_H
 #define MECSC_CORE_SOLVER_TIER_H
 
-#include <cstddef>
-
 namespace mecsc::core {
 
 /// Per-slot LP solver tier (DESIGN.md §16). The per-slot placement LP is
@@ -21,22 +19,18 @@ namespace mecsc::core {
 ///
 /// The values are part of the trace format (TraceConfig::solver), so
 /// they are explicit and never reused; value 2 was the retired simplex
-/// tier.
+/// tier and value 4 the retired auto tier.
 enum class SolverTier {
   /// Resolve from the MECSC_SOLVER environment variable
-  /// ("flow" | "lagrangian" | "auto"); unset, empty or unparsable values
-  /// mean kFlow. The library default, so every bench and example
-  /// honours the env switch without code changes.
+  /// ("flow" | "lagrangian"); unset, empty or unparsable values mean
+  /// kFlow. The library default, so every bench and example honours the
+  /// env switch without code changes.
   kEnv = 0,
   /// The certified min-cost-flow transportation solve (exact, default).
   kFlow = 1,
   /// Lagrangian decomposition with subgradient ascent and gap-based
   /// fallback to the flow tier.
   kLagrangian = 3,
-  /// Pick per slot by column count: lagrangian when the slot's LP has at
-  /// least LagrangianOptions::auto_threshold columns (demand classes
-  /// when aggregation is active, requests otherwise), flow below it.
-  kAuto = 4,
 };
 
 /// Maps kEnv to the MECSC_SOLVER environment variable (defaulting to
@@ -44,7 +38,7 @@ enum class SolverTier {
 /// always win over the environment.
 SolverTier resolve_solver_tier(SolverTier configured);
 
-/// Human-readable tier name ("flow", "lagrangian", "auto", "env") —
+/// Human-readable tier name ("flow", "lagrangian", "env") —
 /// telemetry labels and bench tables.
 const char* solver_tier_name(SolverTier tier);
 

@@ -1,11 +1,7 @@
 #include "gan/info_rnn_gan.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
-#include <string>
 
 #include "common/error.h"
 #include "nn/autodiff.h"
@@ -349,119 +345,6 @@ std::vector<double> InfoRnnGan::predict_next_batch(
     result[b] = std::clamp(last[b], 0.0, 1.0);
   }
   return result;
-}
-
-std::vector<double> InfoRnnGan::generate(std::size_t cluster, std::size_t length) {
-  MECSC_CHECK_MSG(length > 0, "length must be > 0");
-  // Free-running generation with a bidirectional RNN is done
-  // iteratively: re-run over the prefix generated so far and append the
-  // last output (O(L^2) but L is small).
-  std::vector<double> series;
-  series.reserve(length);
-  std::vector<double> history;
-  for (std::size_t s = 0; s < length; ++s) {
-    double next = predict_next(history, cluster);
-    series.push_back(next);
-    history.push_back(next);
-  }
-  return series;
-}
-
-double InfoRnnGan::discriminator_score(const std::vector<double>& window) {
-  MECSC_CHECK_MSG(!window.empty(), "empty window");
-  nn::NoGradGuard no_grad;
-  std::vector<Var> seq;
-  seq.reserve(window.size());
-  for (double v : window) {
-    seq.push_back(nn::constant(Matrix(1, 1, std::clamp(v, 0.0, 1.0))));
-  }
-  DiscriminatorOut out = run_discriminator(seq);
-  double mean_logit = 0.0;
-  for (const auto& l : out.logits) mean_logit += l->value[0];
-  mean_logit /= static_cast<double>(out.logits.size());
-  return 1.0 / (1.0 + std::exp(-mean_logit));
-}
-
-std::vector<Var> InfoRnnGan::all_parameters() const {
-  std::vector<Var> all;
-  for (const auto* m : {static_cast<const nn::Module*>(g_rnn_.get()),
-                        static_cast<const nn::Module*>(g_head_.get()),
-                        static_cast<const nn::Module*>(d_rnn_.get()),
-                        static_cast<const nn::Module*>(d_head_.get()),
-                        static_cast<const nn::Module*>(q_head_.get())}) {
-    for (const auto& p : m->parameters()) all.push_back(p);
-  }
-  return all;
-}
-
-std::string InfoRnnGan::serialize() const {
-  std::string out = "mecsc-info-rnn-gan v1\n";
-  char buf[64];
-  auto put_size = [&](std::size_t v) { out += std::to_string(v); out += ' '; };
-  auto put_double = [&](double v) {
-    std::snprintf(buf, sizeof(buf), "%.17g ", v);
-    out += buf;
-  };
-  put_size(config_.noise_dim);
-  put_size(config_.num_codes);
-  put_size(config_.hidden);
-  put_size(config_.seq_len);
-  put_double(config_.lambda_info);
-  put_double(config_.lambda_supervised);
-  put_double(config_.lr_generator);
-  put_double(config_.lr_discriminator);
-  put_double(config_.grad_clip);
-  put_size(config_.batch_size);
-  put_size(static_cast<std::size_t>(config_.rnn));
-  out += (char)10;
-  for (const auto& p : all_parameters()) {
-    put_size(p->value.rows());
-    put_size(p->value.cols());
-    for (double v : p->value.data()) put_double(v);
-    out += '\n';
-  }
-  return out;
-}
-
-InfoRnnGan InfoRnnGan::deserialize(const std::string& blob, std::uint64_t seed) {
-  MECSC_CHECK_MSG(blob.rfind("mecsc-info-rnn-gan v1\n", 0) == 0,
-                  "unrecognised Info-RNN-GAN blob");
-  const char* cursor = blob.c_str() + std::string("mecsc-info-rnn-gan v1\n").size();
-  char* next = nullptr;
-  auto get_size = [&]() -> std::size_t {
-    unsigned long long v = std::strtoull(cursor, &next, 10);
-    MECSC_CHECK_MSG(next != cursor, "truncated Info-RNN-GAN blob");
-    cursor = next;
-    return static_cast<std::size_t>(v);
-  };
-  auto get_double = [&]() -> double {
-    double v = std::strtod(cursor, &next);
-    MECSC_CHECK_MSG(next != cursor, "truncated Info-RNN-GAN blob");
-    cursor = next;
-    return v;
-  };
-  InfoRnnGanConfig cfg;
-  cfg.noise_dim = get_size();
-  cfg.num_codes = get_size();
-  cfg.hidden = get_size();
-  cfg.seq_len = get_size();
-  cfg.lambda_info = get_double();
-  cfg.lambda_supervised = get_double();
-  cfg.lr_generator = get_double();
-  cfg.lr_discriminator = get_double();
-  cfg.grad_clip = get_double();
-  cfg.batch_size = get_size();
-  cfg.rnn = static_cast<nn::RnnKind>(get_size());
-
-  InfoRnnGan model(cfg, seed);
-  for (const auto& p : model.all_parameters()) {
-    std::size_t rows = get_size();
-    std::size_t cols = get_size();
-    MECSC_CHECK_MSG(rows == p->value.rows() && cols == p->value.cols(),
-                    "Info-RNN-GAN blob shape mismatch");
-    for (double& v : p->value.data()) v = get_double();
-  }
-  return model;
 }
 
 std::size_t InfoRnnGan::generator_parameter_count() const {

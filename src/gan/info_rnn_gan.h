@@ -118,24 +118,8 @@ class InfoRnnGan {
       const std::vector<std::vector<double>>& histories,
       const std::vector<std::size_t>& clusters);
 
-  /// Generates a free-running synthetic window for a cluster (useful for
-  /// data augmentation and in tests for mode-collapse checks).
-  std::vector<double> generate(std::size_t cluster, std::size_t length);
-
-  /// Discriminator's mean P(real) over a window — exposed for tests.
-  double discriminator_score(const std::vector<double>& window);
-
   std::size_t generator_parameter_count() const;
   std::size_t discriminator_parameter_count() const;
-
-  /// Serialises the configuration and every network weight to a text
-  /// blob (exact round-trip), so a trained predictor can be stored and
-  /// reloaded instead of retrained.
-  std::string serialize() const;
-
-  /// Reconstructs a model from `serialize()` output. `seed` reseeds the
-  /// RNG used for training noise / batch sampling after the restore.
-  static InfoRnnGan deserialize(const std::string& blob, std::uint64_t seed);
 
  private:
   struct GeneratorOut {
@@ -163,8 +147,6 @@ class InfoRnnGan {
                         const std::vector<std::size_t>& codes);
   std::vector<nn::Matrix> snapshot_generator() const;
   void restore_generator(const std::vector<nn::Matrix>& snapshot);
-  /// Every trainable parameter node (G, D, Q), in a fixed order.
-  std::vector<nn::Var> all_parameters() const;
 
   InfoRnnGanConfig config_;
   common::Rng rng_;

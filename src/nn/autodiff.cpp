@@ -185,15 +185,6 @@ Var op_tanh(const Var& a) {
   return node;
 }
 
-Var op_relu(const Var& a) {
-  Matrix y = map_relu(a->value);
-  return make_op(y, {a}, [a](Node& n) {
-    Matrix& d = scratch().get(0);
-    relu_grad_into(d, n.grad, a->value);
-    a->accumulate(d);
-  });
-}
-
 Var op_concat_cols(const Var& a, const Var& b) {
   std::size_t ac = a->value.cols();
   return make_op(concat_cols(a->value, b->value), {a, b}, [a, b, ac](Node& n) {

@@ -69,7 +69,6 @@ Var op_add_row(const Var& a, const Var& bias);
 Var op_scale(const Var& a, double s);
 Var op_sigmoid(const Var& a);
 Var op_tanh(const Var& a);
-Var op_relu(const Var& a);
 Var op_concat_cols(const Var& a, const Var& b);
 Var op_slice_cols(const Var& a, std::size_t begin, std::size_t end);
 /// Mean over all entries → 1×1.

@@ -11,7 +11,7 @@ namespace mecsc::nn {
 
 namespace {
 
-/// One cached flag read per kernel call; MECSC_SIMD=off or a non-AVX2
+/// One cached flag read per kernel call; a scalar build or a non-AVX2
 /// CPU routes every dispatcher below to the scalar reference.
 inline bool use_simd() { return common::simd::active(); }
 
@@ -97,12 +97,6 @@ double Matrix::sum() const {
 
 double Matrix::mean() const {
   return data_.empty() ? 0.0 : sum() / static_cast<double>(data_.size());
-}
-
-double Matrix::max_abs() const {
-  double m = 0.0;
-  for (double v : data_) m = std::max(m, std::abs(v));
-  return m;
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b) {
@@ -211,11 +205,6 @@ void map_tanh_into(Matrix& out, const Matrix& a) {
   for (std::size_t i = 0; i < out.size(); ++i) out[i] = std::tanh(a[i]);
 }
 
-void map_relu_into(Matrix& out, const Matrix& a) {
-  out.resize(a.rows(), a.cols());
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = std::max(0.0, a[i]);
-}
-
 void sigmoid_grad_into(Matrix& out, const Matrix& g, const Matrix& y) {
   out.resize(g.rows(), g.cols());
   for (std::size_t i = 0; i < out.size(); ++i) {
@@ -227,13 +216,6 @@ void tanh_grad_into(Matrix& out, const Matrix& g, const Matrix& y) {
   out.resize(g.rows(), g.cols());
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = g[i] * (1.0 - y[i] * y[i]);
-  }
-}
-
-void relu_grad_into(Matrix& out, const Matrix& g, const Matrix& x) {
-  out.resize(g.rows(), g.cols());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = x[i] <= 0.0 ? 0.0 : g[i];
   }
 }
 
@@ -366,17 +348,6 @@ void map_tanh_into(Matrix& out, const Matrix& a) {
   scalar::map_tanh_into(out, a);
 }
 
-void map_relu_into(Matrix& out, const Matrix& a) {
-#if defined(MECSC_SIMD_AVX2)
-  if (use_simd()) {
-    out.resize(a.rows(), a.cols());
-    avx2::relu(out.data().data(), a.data().data(), out.size());
-    return;
-  }
-#endif
-  scalar::map_relu_into(out, a);
-}
-
 void sigmoid_grad_into(Matrix& out, const Matrix& g, const Matrix& y) {
   check_same_shape(g, y);
 #if defined(MECSC_SIMD_AVX2)
@@ -401,19 +372,6 @@ void tanh_grad_into(Matrix& out, const Matrix& g, const Matrix& y) {
   }
 #endif
   scalar::tanh_grad_into(out, g, y);
-}
-
-void relu_grad_into(Matrix& out, const Matrix& g, const Matrix& x) {
-  check_same_shape(g, x);
-#if defined(MECSC_SIMD_AVX2)
-  if (use_simd()) {
-    out.resize(g.rows(), g.cols());
-    avx2::relu_grad(out.data().data(), g.data().data(), x.data().data(),
-                    out.size());
-    return;
-  }
-#endif
-  scalar::relu_grad_into(out, g, x);
 }
 
 void axpy(Matrix& y, const Matrix& x, double s) {
@@ -496,12 +454,6 @@ Matrix map_tanh(const Matrix& a) {
   return c;
 }
 
-Matrix map_relu(const Matrix& a) {
-  Matrix c;
-  map_relu_into(c, a);
-  return c;
-}
-
 Matrix softmax_rows(const Matrix& a) {
   Matrix c = a;
   for (std::size_t r = 0; r < a.rows(); ++r) {
@@ -514,12 +466,6 @@ Matrix softmax_rows(const Matrix& a) {
     }
     for (std::size_t j = 0; j < a.cols(); ++j) c.at(r, j) /= denom;
   }
-  return c;
-}
-
-Matrix col_sums(const Matrix& a) {
-  Matrix c;
-  col_sums_into(c, a);
   return c;
 }
 

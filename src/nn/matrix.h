@@ -86,7 +86,6 @@ class Matrix {
 
   double sum() const;
   double mean() const;
-  double max_abs() const;
 
  private:
   std::size_t rows_ = 0;
@@ -110,11 +109,8 @@ Matrix slice_cols(const Matrix& a, std::size_t begin, std::size_t end);
 /// Elementwise map helpers.
 Matrix map_sigmoid(const Matrix& a);
 Matrix map_tanh(const Matrix& a);
-Matrix map_relu(const Matrix& a);
 /// Row-wise softmax.
 Matrix softmax_rows(const Matrix& a);
-/// Column sums: 1×cols.
-Matrix col_sums(const Matrix& a);
 
 // ---------------------------------------------------------------------------
 // Output-parameter kernels (DESIGN.md "Performance"). Each writes its result
@@ -141,7 +137,7 @@ void hadamard_into(Matrix& out, const Matrix& a, const Matrix& b);
 void scale_into(Matrix& out, const Matrix& a, double s);
 void map_sigmoid_into(Matrix& out, const Matrix& a);
 void map_tanh_into(Matrix& out, const Matrix& a);
-void map_relu_into(Matrix& out, const Matrix& a);
+/// Column sums: out is 1×cols.
 void col_sums_into(Matrix& out, const Matrix& a);
 
 // Fused gradient kernels for the autodiff backward closures: one pass,
@@ -150,15 +146,13 @@ void col_sums_into(Matrix& out, const Matrix& a);
 void sigmoid_grad_into(Matrix& out, const Matrix& g, const Matrix& y);
 /// out = g ⊙ (1 − y²)  (tanh backward; y is the forward output).
 void tanh_grad_into(Matrix& out, const Matrix& g, const Matrix& y);
-/// out = g masked by x > 0 (relu backward; x is the forward input).
-void relu_grad_into(Matrix& out, const Matrix& g, const Matrix& x);
 /// y += s·x  (axpy; the accumulation primitive behind Matrix::add_scaled
 /// and every gradient accumulate).
 void axpy(Matrix& y, const Matrix& x, double s);
 
 // ---------------------------------------------------------------------------
 // Scalar reference implementations. These are the pre-SIMD kernels,
-// kept callable so (a) MECSC_SIMD=off reproduces them bit-for-bit via
+// kept callable so (a) a scalar build or a non-AVX2 host runs them via
 // the dispatchers and (b) tests/test_simd.cpp can compare the vector
 // path against them on the same inputs.
 // ---------------------------------------------------------------------------
@@ -172,10 +166,8 @@ void hadamard_into(Matrix& out, const Matrix& a, const Matrix& b);
 void scale_into(Matrix& out, const Matrix& a, double s);
 void map_sigmoid_into(Matrix& out, const Matrix& a);
 void map_tanh_into(Matrix& out, const Matrix& a);
-void map_relu_into(Matrix& out, const Matrix& a);
 void sigmoid_grad_into(Matrix& out, const Matrix& g, const Matrix& y);
 void tanh_grad_into(Matrix& out, const Matrix& g, const Matrix& y);
-void relu_grad_into(Matrix& out, const Matrix& g, const Matrix& x);
 void axpy(Matrix& y, const Matrix& x, double s);
 
 /// True when this reference TU was itself compiled with AVX2 codegen

@@ -34,30 +34,6 @@ double Optimizer::clip_grad_norm(double max_norm) {
   return norm;
 }
 
-Sgd::Sgd(std::vector<Var> params, double lr, double momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  MECSC_CHECK_MSG(lr > 0.0, "learning rate must be > 0");
-  MECSC_CHECK_MSG(momentum >= 0.0 && momentum < 1.0, "momentum out of [0,1)");
-  velocity_.reserve(params_.size());
-  for (const auto& p : params_) {
-    velocity_.emplace_back(p->value.rows(), p->value.cols());
-  }
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto& p = params_[i];
-    if (p->grad.empty()) continue;
-    if (momentum_ > 0.0) {
-      velocity_[i].scale_in_place(momentum_);
-      velocity_[i].add_scaled(p->grad, 1.0);
-      p->value.add_scaled(velocity_[i], -lr_);
-    } else {
-      p->value.add_scaled(p->grad, -lr_);
-    }
-  }
-}
-
 Adam::Adam(std::vector<Var> params, double lr, double beta1, double beta2,
            double eps)
     : Optimizer(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {

@@ -26,18 +26,6 @@ class Optimizer {
   std::vector<Var> params_;
 };
 
-/// Plain SGD with optional momentum.
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<Var> params, double lr, double momentum = 0.0);
-  void step() override;
-
- private:
-  double lr_;
-  double momentum_;
-  std::vector<Matrix> velocity_;
-};
-
 /// Adam (Kingma & Ba) — the default for the Info-RNN-GAN trainer.
 class Adam final : public Optimizer {
  public:

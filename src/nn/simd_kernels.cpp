@@ -351,18 +351,6 @@ MECSC_AVX2 void tanh(double* out, const double* a, std::size_t n) {
   }
 }
 
-MECSC_AVX2 void relu(double* out, const double* a, std::size_t n) {
-  assert_aligned(out), assert_aligned(a);
-  const __m256d zero = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // maxpd returns the SECOND operand on unordered, so max(x, 0) maps
-    // NaN → 0.0 exactly like the scalar std::max(0.0, x) reference.
-    _mm256_store_pd(out + i, _mm256_max_pd(_mm256_load_pd(a + i), zero));
-  }
-  for (; i < n; ++i) out[i] = a[i] > 0.0 ? a[i] : 0.0;
-}
-
 MECSC_AVX2 void sigmoid_grad(double* out, const double* g, const double* y,
                              std::size_t n) {
   assert_aligned(out), assert_aligned(g), assert_aligned(y);
@@ -387,20 +375,6 @@ MECSC_AVX2 void tanh_grad(double* out, const double* g, const double* y,
     _mm256_store_pd(out + i, _mm256_mul_pd(_mm256_load_pd(g + i), d));
   }
   for (; i < n; ++i) out[i] = g[i] * (1.0 - y[i] * y[i]);
-}
-
-MECSC_AVX2 void relu_grad(double* out, const double* g, const double* x,
-                          std::size_t n) {
-  assert_aligned(out), assert_aligned(g), assert_aligned(x);
-  const __m256d zero = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // Scalar reference zeroes only where x <= 0 (NaN x keeps g), so the
-    // mask is "not less-or-equal, unordered true".
-    __m256d mask = _mm256_cmp_pd(_mm256_load_pd(x + i), zero, _CMP_NLE_UQ);
-    _mm256_store_pd(out + i, _mm256_and_pd(_mm256_load_pd(g + i), mask));
-  }
-  for (; i < n; ++i) out[i] = x[i] <= 0.0 ? 0.0 : g[i];
 }
 
 MECSC_AVX2 void axpy(double* y, const double* x, double s, std::size_t n) {

@@ -12,9 +12,9 @@
 // multiply-add into one FMA; matmul_abT additionally splits the k
 // reduction into four partial sums; sigmoid/tanh use a polynomial
 // vector exp. All differences are covered by the tolerances asserted in
-// tests/test_simd.cpp. The remaining kernels (add/sub/mul/scale/axpy/
-// relu and the relu/concat-style masks) are bit-for-bit identical to
-// the scalar reference.
+// tests/test_simd.cpp. The remaining kernels (add/sub/mul/scale/axpy
+// and the sigmoid/tanh gradients) are bit-for-bit identical to the
+// scalar reference.
 
 #include <cstddef>
 
@@ -43,10 +43,8 @@ void mul(double* out, const double* a, const double* b, std::size_t n);
 void scale(double* out, const double* a, double s, std::size_t n);
 void sigmoid(double* out, const double* a, std::size_t n);
 void tanh(double* out, const double* a, std::size_t n);
-void relu(double* out, const double* a, std::size_t n);
 void sigmoid_grad(double* out, const double* g, const double* y, std::size_t n);
 void tanh_grad(double* out, const double* g, const double* y, std::size_t n);
-void relu_grad(double* out, const double* g, const double* x, std::size_t n);
 void axpy(double* y, const double* x, double s, std::size_t n);
 
 }  // namespace mecsc::nn::avx2

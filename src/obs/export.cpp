@@ -177,6 +177,4 @@ bool dump(const Registry& registry, std::ostream& fallback) {
   return true;
 }
 
-bool dump_default() { return dump(default_registry(), std::cout); }
-
 }  // namespace mecsc::obs

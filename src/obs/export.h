@@ -41,9 +41,6 @@ ExportFormat format_for_path(const std::string& path);
 /// true when anything was written.
 bool dump(const Registry& registry, std::ostream& fallback);
 
-/// `dump` of the default registry to std::cout.
-bool dump_default();
-
 }  // namespace mecsc::obs
 
 #endif  // MECSC_OBS_EXPORT_H

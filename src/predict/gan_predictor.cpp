@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/env.h"
 #include "common/error.h"
 #include "obs/metrics.h"
 
@@ -72,14 +71,12 @@ std::vector<double> GanDemandPredictor::predict(std::size_t) {
   const std::size_t n = cluster_of_request_.size();
   // One fused forward pass per chunk instead of one per request: every
   // per-step matmul then runs at batch = chunk size. Chunking bounds the
-  // packed teacher matrices to chunk × seq_len doubles; MECSC_PREDICT_BATCH
-  // tunes the trade-off (1 degenerates to the sequential path, which
-  // produces bit-identical results).
-  static const std::size_t chunk_size =
-      std::max<std::size_t>(1, common::env_size_or("MECSC_PREDICT_BATCH", 1024));
+  // packed teacher matrices to kChunk × seq_len doubles; the forecasts
+  // are bit-identical to the sequential path at any chunk size.
+  constexpr std::size_t kChunk = 1024;
   std::vector<double> out(n);
-  for (std::size_t begin = 0; begin < n; begin += chunk_size) {
-    const std::size_t end = std::min(n, begin + chunk_size);
+  for (std::size_t begin = 0; begin < n; begin += kChunk) {
+    const std::size_t end = std::min(n, begin + kChunk);
     std::vector<std::vector<double>> histories(history_.begin() + begin,
                                                history_.begin() + end);
     std::vector<std::size_t> clusters(cluster_of_request_.begin() + begin,

@@ -4,7 +4,7 @@
 // Durable decision-state checkpoints of the mecsc::serve daemon
 // (DESIGN.md "Crash tolerance & recovery").
 //
-// Every MECSC_CHECKPOINT_EVERY slots the daemon serialises its complete
+// Every --checkpoint-every slots the daemon serialises its complete
 // cross-slot decision state — bandit pull counts and means, the rounding
 // RNG's stream position, both solver warm states (flow arcs/prices,
 // Lagrangian duals), the engine's committed decision and caching set,

@@ -1,7 +1,5 @@
 #include "serve/ingest_queue.h"
 
-#include "common/error.h"
-
 namespace mecsc::serve {
 
 namespace {
@@ -67,36 +65,6 @@ std::size_t MpscRing::approx_size() const noexcept {
   const std::uint64_t e = enqueue_.load(std::memory_order_relaxed);
   const std::uint64_t d = dequeue_.load(std::memory_order_relaxed);
   return e >= d ? static_cast<std::size_t>(e - d) : 0;
-}
-
-ShardedIngestQueue::ShardedIngestQueue(std::size_t shards,
-                                       std::size_t capacity_per_shard) {
-  MECSC_CHECK_MSG(shards >= 1, "ingest queue needs >= 1 shard");
-  MECSC_CHECK_MSG(capacity_per_shard >= 1, "ingest shard capacity must be >= 1");
-  shards_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    shards_.push_back(std::make_unique<MpscRing>(capacity_per_shard));
-  }
-}
-
-std::size_t ShardedIngestQueue::drain(std::vector<IngestEvent>& out,
-                                      std::size_t max) {
-  std::size_t n = 0;
-  IngestEvent ev;
-  for (auto& shard : shards_) {
-    while (n < max && shard->try_pop(ev)) {
-      out.push_back(ev);
-      ++n;
-    }
-    if (n >= max) break;
-  }
-  return n;
-}
-
-std::size_t ShardedIngestQueue::approx_depth() const noexcept {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->approx_size();
-  return total;
 }
 
 }  // namespace mecsc::serve

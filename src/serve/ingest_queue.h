@@ -1,28 +1,26 @@
 #ifndef MECSC_SERVE_INGEST_QUEUE_H
 #define MECSC_SERVE_INGEST_QUEUE_H
 
-// Lock-free sharded ingest queue of the mecsc::serve subsystem
-// (DESIGN.md "Streaming service architecture").
+// Lock-free ingest queue of the mecsc::serve subsystem (DESIGN.md
+// "Streaming service architecture").
 //
 // Requests enter the service through this queue: producers (network
 // front-ends, synthetic generators, trace replayers) push IngestEvents
-// into the shard owning the request's home base station; the single
-// collector thread drains all shards when accumulating a slot's demand
-// snapshot.
+// into one ring, and the single collector thread drains it when
+// accumulating a slot's demand snapshot.
 //
-// Each shard is a bounded MPSC ring in the style of Vyukov's bounded
+// The ring is a bounded MPSC queue in the style of Vyukov's bounded
 // MPMC queue: every cell carries a sequence counter, producers claim
-// cells with one fetch_add on the enqueue cursor, and the (single)
-// consumer releases cells by bumping their sequence one lap forward. No
-// locks, no allocation after construction; a full shard rejects the
-// push, which is the backpressure signal the admission layer turns into
-// load shedding.
+// cells with one CAS on the enqueue cursor, and the (single) consumer
+// releases cells by bumping their sequence one lap forward. No locks,
+// no allocation after construction; a full ring rejects the push, which
+// is the backpressure signal the admission layer turns into load
+// shedding.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 namespace mecsc::serve {
 
@@ -34,7 +32,7 @@ struct IngestEvent {
   double demand = 0.0;        ///< Demand units contributed (ρ share).
 };
 
-/// Bounded lock-free multi-producer single-consumer ring (one shard).
+/// Bounded lock-free multi-producer single-consumer ring.
 class MpscRing {
  public:
   /// Capacity is rounded up to the next power of two (min 4).
@@ -66,48 +64,6 @@ class MpscRing {
   std::size_t mask_ = 0;
   alignas(64) std::atomic<std::uint64_t> enqueue_{0};
   alignas(64) std::atomic<std::uint64_t> dequeue_{0};
-};
-
-/// The sharded front door: shard = home_station % num_shards, so all
-/// events of one request land in one shard and a slot snapshot can be
-/// accumulated without cross-shard races.
-class ShardedIngestQueue {
- public:
-  /// `shards` rings of `capacity_per_shard` cells each (both >= 1;
-  /// capacities round up to powers of two).
-  ShardedIngestQueue(std::size_t shards, std::size_t capacity_per_shard);
-
-  /// Shard owning a home station.
-  std::size_t shard_of(std::size_t home_station) const noexcept {
-    return home_station % shards_.size();
-  }
-
-  /// Pushes `ev` into the shard of `home_station`. Returns false when
-  /// that shard is full — the caller sheds the event (admission layer).
-  bool try_push(std::size_t home_station, const IngestEvent& ev) noexcept {
-    return shards_[shard_of(home_station)]->try_push(ev);
-  }
-
-  /// Consumer side: pops one event from shard `s`.
-  bool try_pop(std::size_t s, IngestEvent& out) noexcept {
-    return shards_[s]->try_pop(out);
-  }
-
-  /// Drains up to `max` events from every shard into `out` (appended).
-  /// Single-consumer only. Returns the number drained.
-  std::size_t drain(std::vector<IngestEvent>& out, std::size_t max);
-
-  std::size_t num_shards() const noexcept { return shards_.size(); }
-  std::size_t capacity_per_shard() const noexcept {
-    return shards_.front()->capacity();
-  }
-
-  /// Approximate total queue depth across shards (the serve.queue_depth
-  /// gauge).
-  std::size_t approx_depth() const noexcept;
-
- private:
-  std::vector<std::unique_ptr<MpscRing>> shards_;
 };
 
 }  // namespace mecsc::serve

@@ -23,12 +23,12 @@ bool same_bits(double a, double b) {
 }
 
 // A recorded recipe names the env-resolved mode and tier, so kEnv (0)
-// never appears in a genuine trace; neither does the retired simplex
-// tier (2) or a value past the enums. Each is a corrupt trace.
+// never appears in a genuine trace; neither do the retired auto modes
+// (aggregate 2, solver 4), the retired simplex tier (solver 2) or a
+// value past the enums. Each is a corrupt trace.
 core::AggregateMode recorded_aggregate(std::uint8_t value) {
   const auto mode = static_cast<core::AggregateMode>(value);
   MECSC_CHECK_MSG(mode == core::AggregateMode::kOff ||
-                      mode == core::AggregateMode::kAuto ||
                       mode == core::AggregateMode::kOn,
                   "trace recipe names no aggregation mode: byte " +
                       std::to_string(value));
@@ -38,8 +38,7 @@ core::AggregateMode recorded_aggregate(std::uint8_t value) {
 core::SolverTier recorded_tier(std::uint8_t value) {
   const auto tier = static_cast<core::SolverTier>(value);
   MECSC_CHECK_MSG(tier == core::SolverTier::kFlow ||
-                      tier == core::SolverTier::kLagrangian ||
-                      tier == core::SolverTier::kAuto,
+                      tier == core::SolverTier::kLagrangian,
                   "trace recipe names no live solver tier: byte " +
                       std::to_string(value));
   return tier;

@@ -2,7 +2,7 @@
 // "Streaming service architecture").
 //
 // Boots a SlotService over a seeded scenario: synthetic producers push
-// demand events into the sharded ingest queue, the wall-clock (or
+// demand events into the lock-free ingest ring, the wall-clock (or
 // paced) slot scheduler closes per-slot snapshots, and the pipelined
 // decide path commits caching/routing decisions slot by slot. With
 // --queries the daemon answers line-delimited JSON queries on
@@ -15,9 +15,8 @@
 //   mecsc_serve --trace-out run.trace --checkpoint-every 25   # durable
 //   mecsc_serve --trace-out run.trace --resume                # after crash
 //
-// Environment defaults: MECSC_SERVE_SLOT_MS, MECSC_SERVE_SHARDS,
-// MECSC_SERVE_QUEUE_CAP, MECSC_TRACE_OUT, MECSC_CHECKPOINT_EVERY,
-// MECSC_SERVE_RETRY_CAP (flags win).
+// The daemon is configured by its flags alone; unset flags keep the
+// ServeOptions defaults.
 //
 // Exit codes: 0 success, 1 replay divergence or runtime failure,
 // 2 usage, 3 corrupt/torn trace, 4 resume/checkpoint mismatch.
@@ -70,22 +69,21 @@ void usage() {
                "  --services N     service catalogue size (default 10)\n"
                "  --slots N        horizon in slots (default 100)\n"
                "  --seed N         scenario root seed (default 1)\n"
-               "  --slot-ms N      slot length in ms (env MECSC_SERVE_SLOT_MS)\n"
-               "  --shards N       ingest shards (env MECSC_SERVE_SHARDS)\n"
-               "  --queue-cap N    cells per shard (env MECSC_SERVE_QUEUE_CAP)\n"
+               "  --slot-ms N      slot length in ms (default 100)\n"
+               "  --queue-cap N    ingest ring cells (default 65536)\n"
                "  --producers N    synthetic producer threads (default 2)\n"
                "  --paced          data-paced slots (deterministic; tests/CI)\n"
                "  --constant       constant instead of bursty demands\n"
-               "  --trace-out P    record a binary trace (env MECSC_TRACE_OUT)\n"
+               "  --trace-out P    record a binary trace\n"
                "  --prom-out P     live Prometheus dump file, rewritten per slot\n"
                "  --queries        answer JSON queries on stdin/stdout\n"
                "  --checkpoint-every N  durable checkpoint every N slots\n"
-               "                        (env MECSC_CHECKPOINT_EVERY; needs --trace-out)\n"
+               "                        (needs --trace-out)\n"
                "  --checkpoint-path P   checkpoint file (default <trace>.ckpt)\n"
                "  --resume         restore the checkpoint, truncate the trace's\n"
                "                   torn tail, continue bit-identically\n"
                "  --retry-cap N    bounded submit retries before shedding\n"
-               "                   (env MECSC_SERVE_RETRY_CAP)\n"
+               "                   (default 64)\n"
                "  --paced-min-ms N minimum wall time per paced slot (crash tests)\n"
                "  --no-watchdog    disable the decide-deadline watchdog\n"
                "  --verify P       replay trace P, check bit identity\n"
@@ -103,7 +101,7 @@ int main(int argc, char** argv) {
   using mecsc::serve::ServeReport;
   using mecsc::serve::SlotService;
 
-  ServeOptions options = mecsc::serve::serve_options_from_env();
+  ServeOptions options;
   bool queries = false;
   bool salvage = false;
   std::string verify_path;
@@ -129,8 +127,6 @@ int main(int argc, char** argv) {
       options.seed = parse_size(arg, next(arg));
     } else if (std::strcmp(arg, "--slot-ms") == 0) {
       options.slot_ms = parse_size(arg, next(arg));
-    } else if (std::strcmp(arg, "--shards") == 0) {
-      options.shards = parse_size(arg, next(arg));
     } else if (std::strcmp(arg, "--queue-cap") == 0) {
       options.queue_capacity = parse_size(arg, next(arg));
     } else if (std::strcmp(arg, "--producers") == 0) {
@@ -222,10 +218,10 @@ int main(int argc, char** argv) {
 
     std::fprintf(stderr,
                  "mecsc_serve: %zu stations, %zu requests, %zu slots x %zu ms, "
-                 "%zu shard(s) x %zu cells, %s slots%s\n",
+                 "%zu-cell ingest ring, %s slots%s\n",
                  service.options().num_stations, service.options().num_requests,
                  service.options().horizon, service.options().slot_ms,
-                 service.options().shards, service.options().queue_capacity,
+                 service.options().queue_capacity,
                  service.options().paced ? "paced" : "wall-clock",
                  service.options().trace_out.empty()
                      ? ""

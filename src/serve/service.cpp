@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
-#include "common/env.h"
 #include "common/error.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -27,23 +25,6 @@ double ms_between(Clock::time_point from, Clock::time_point to) {
 
 }  // namespace
 
-ServeOptions serve_options_from_env() {
-  ServeOptions options;
-  options.slot_ms = common::env_size_or("MECSC_SERVE_SLOT_MS", options.slot_ms);
-  options.shards = common::env_size_or("MECSC_SERVE_SHARDS", options.shards);
-  options.queue_capacity =
-      common::env_size_or("MECSC_SERVE_QUEUE_CAP", options.queue_capacity);
-  options.submit_retries =
-      common::env_size_or("MECSC_SERVE_RETRY_CAP", options.submit_retries);
-  options.checkpoint_every =
-      common::env_size_or("MECSC_CHECKPOINT_EVERY", options.checkpoint_every);
-  if (const char* v = std::getenv("MECSC_TRACE_OUT");
-      v != nullptr && *v != '\0') {
-    options.trace_out = v;
-  }
-  return options;
-}
-
 sim::ScenarioParams scenario_params(const ServeOptions& options) {
   sim::ScenarioParams params;
   params.num_stations = options.num_stations;
@@ -58,6 +39,8 @@ sim::ScenarioParams scenario_params(const ServeOptions& options) {
 SlotService::SlotService(ServeOptions options) : options_(std::move(options)) {
   MECSC_CHECK_MSG(options_.horizon >= 1, "serve horizon must be >= 1 slot");
   MECSC_CHECK_MSG(options_.slot_ms >= 1, "slot length must be >= 1 ms");
+  MECSC_CHECK_MSG(options_.queue_capacity >= 1,
+                  "ingest ring capacity must be >= 1");
   MECSC_CHECK_MSG(options_.num_stations >= 1 && options_.num_stations <= 65535,
                   "serve supports 1..65535 stations (trace format limit)");
   MECSC_CHECK_MSG(options_.shed_penalty_ms >= 0.0,
@@ -66,7 +49,7 @@ SlotService::SlotService(ServeOptions options) : options_(std::move(options)) {
   if (options_.checkpoint_every > 0 || options_.resume) {
     MECSC_CHECK_MSG(!options_.trace_out.empty(),
                     "checkpointing requires a trace (checkpoints store trace "
-                    "offsets); set --trace/MECSC_TRACE_OUT");
+                    "offsets); set --trace-out");
     if (options_.checkpoint_path.empty()) {
       options_.checkpoint_path = options_.trace_out + ".ckpt";
     }
@@ -74,8 +57,7 @@ SlotService::SlotService(ServeOptions options) : options_(std::move(options)) {
 
   scenario_ = std::make_unique<sim::Scenario>(scenario_params(options_));
 
-  queue_ = std::make_unique<ShardedIngestQueue>(options_.shards,
-                                                options_.queue_capacity);
+  queue_ = std::make_unique<MpscRing>(options_.queue_capacity);
 
   algorithms::OlOptions ol_options;
   ol_options.aggregate = scenario_->aggregate_mode();
@@ -179,11 +161,10 @@ bool SlotService::submit(std::uint32_t request, std::uint32_t slot,
   const auto& requests = scenario_->problem().requests();
   MECSC_CHECK_MSG(request < requests.size(), "submit: request id out of range");
   const IngestEvent ev{request, slot, demand};
-  const std::size_t home = requests[request].home_station;
   if (options_.paced) {
     // Paced producers are lossless: the collector is guaranteed to catch
-    // up, so a full shard is only transient backpressure.
-    while (!queue_->try_push(home, ev)) {
+    // up, so a full ring is only transient backpressure.
+    while (!queue_->try_push(ev)) {
       if (stop_.load(std::memory_order_acquire)) break;
       std::this_thread::yield();
     }
@@ -194,9 +175,9 @@ bool SlotService::submit(std::uint32_t request, std::uint32_t slot,
   // Bounded retry with exponential backoff: the first attempts only
   // yield (a drain pass usually frees cells within microseconds), later
   // ones sleep with doubling pauses capped at 64 µs. Only after the cap
-  // (MECSC_SERVE_RETRY_CAP) is the event shed.
+  // (ServeOptions::submit_retries) is the event shed.
   for (std::size_t attempt = 0; attempt <= options_.submit_retries; ++attempt) {
-    if (queue_->try_push(home, ev)) {
+    if (queue_->try_push(ev)) {
       if (attempt > 0) {
         ingest_retries_.fetch_add(attempt, std::memory_order_relaxed);
       }
@@ -232,7 +213,7 @@ void SlotService::producer_loop(std::size_t producer_index) {
   const std::size_t n = problem.num_requests();
   // Static request partition: exactly one producer owns each request id,
   // so a (request, slot) pair is submitted at most once and snapshot
-  // accumulation is exact regardless of shard count.
+  // accumulation is exact regardless of drain order.
   const std::size_t lo = producer_index * n / producer_count_;
   const std::size_t hi = (producer_index + 1) * n / producer_count_;
   for (std::size_t t = start_slot_; t < options_.horizon; ++t) {
@@ -255,8 +236,16 @@ void SlotService::producer_loop(std::size_t producer_index) {
 void SlotService::collector_loop() {
   const std::size_t n = scenario_->problem().num_requests();
   const auto slot_len = std::chrono::milliseconds(options_.slot_ms);
-  std::vector<IngestEvent> buffer;
-  buffer.reserve(4096);
+  // Folds every event queued so far into the open slot's snapshot.
+  auto drain_into = [&](SlotBatch& batch) {
+    IngestEvent ev;
+    while (queue_->try_pop(ev)) {
+      if (ev.request < n) {
+        batch.snapshot[ev.request] += ev.demand;
+        ++batch.ingested;
+      }
+    }
+  };
   bool stopping = false;
   for (std::size_t t = start_slot_; t < options_.horizon && !stopping; ++t) {
     SlotBatch batch;
@@ -268,14 +257,7 @@ void SlotService::collector_loop() {
         opened + std::chrono::milliseconds(options_.paced_min_slot_ms);
     open_slot_.store(static_cast<std::int64_t>(t), std::memory_order_release);
     for (;;) {
-      buffer.clear();
-      queue_->drain(buffer, static_cast<std::size_t>(-1));
-      for (const IngestEvent& ev : buffer) {
-        if (ev.request < n) {
-          batch.snapshot[ev.request] += ev.demand;
-          ++batch.ingested;
-        }
-      }
+      drain_into(batch);
       stopping = stop_.load(std::memory_order_acquire);
       bool close = stopping;
       if (options_.paced) {
@@ -294,14 +276,7 @@ void SlotService::collector_loop() {
         close = close || Clock::now() >= deadline;
       }
       if (close) {
-        buffer.clear();
-        queue_->drain(buffer, static_cast<std::size_t>(-1));
-        for (const IngestEvent& ev : buffer) {
-          if (ev.request < n) {
-            batch.snapshot[ev.request] += ev.demand;
-            ++batch.ingested;
-          }
-        }
+        drain_into(batch);
         break;
       }
       if (options_.paced) {
@@ -311,7 +286,7 @@ void SlotService::collector_loop() {
       }
     }
     batch.ingest_wall_ms = ms_between(opened, Clock::now());
-    batch.queue_depth = queue_->approx_depth();
+    batch.queue_depth = queue_->approx_size();
     batch.shed = shed_per_slot_[t].load(std::memory_order_relaxed);
     ingested_total_.fetch_add(batch.ingested, std::memory_order_relaxed);
     {
@@ -570,7 +545,7 @@ std::string SlotService::handle_query(const std::string& line) const {
         << (decision ? static_cast<std::int64_t>(decision->slot) : -1)
         << ",\"ingested\":" << ingested_total_.load(std::memory_order_relaxed)
         << ",\"shed\":" << shed_total_.load(std::memory_order_relaxed)
-        << ",\"queue_depth\":" << queue_->approx_depth() << "}";
+        << ",\"queue_depth\":" << queue_->approx_size() << "}";
     return out.str();
   }
   const auto id = query::uint_field(line, "id");

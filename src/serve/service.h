@@ -5,11 +5,11 @@
 // architecture"): a long-running streaming front for the paper's
 // per-slot decision pipeline.
 //
-//   producers ──► ShardedIngestQueue ──► collector ──► decide worker
-//   (synthetic /     (lock-free,          (closes       (predict →
-//    trace / API)     shard = home         slot t's      aggregate →
-//                     station)             snapshot)     LP → round,
-//                                                        observe)
+//   producers ──► MpscRing ──► collector ──► decide worker
+//   (synthetic /    (lock-free,  (closes       (predict →
+//    trace / API)    bounded)     slot t's      aggregate →
+//                                 snapshot)     LP → round,
+//                                               observe)
 //
 // The collector accumulates slot t's demand snapshot from the queue and
 // closes it on the wall clock (or, in paced mode, when every producer
@@ -17,7 +17,7 @@
 // through sim::SlotEngine — the identical decide → score → observe
 // protocol the batch simulator runs — while the collector is already
 // accumulating slot t+1, so ingest, decide and observe/feedback overlap.
-// Admission control sheds events when a shard backs up, accounted with
+// Admission control sheds events when the ring backs up, accounted with
 // the fault subsystem's shedding bookkeeping (fault::SlotFaultSummary,
 // same per-request delay penalty). Every committed decision is published
 // for the query API, optionally appended to a binary trace
@@ -54,17 +54,17 @@ class ResumeMismatch : public common::InvalidArgument {
   using common::InvalidArgument::InvalidArgument;
 };
 
-/// Configuration of one service run. Environment defaults come from
-/// serve_options_from_env(); flags in `mecsc_serve` override them.
+/// Configuration of one service run; `mecsc_serve` sets it from its
+/// flags.
 struct ServeOptions {
   std::uint64_t seed = 1;           ///< Scenario root seed.
   std::size_t num_stations = 100;   ///< Base stations (max 65535).
   std::size_t num_requests = 400;   ///< Request population.
   std::size_t num_services = 10;    ///< Service catalogue size.
   std::size_t horizon = 100;        ///< Slots to serve before exiting.
-  std::size_t slot_ms = 100;        ///< Wall-clock slot length (MECSC_SERVE_SLOT_MS).
-  std::size_t shards = 8;           ///< Ingest shards (MECSC_SERVE_SHARDS).
-  std::size_t queue_capacity = 65536;  ///< Cells per shard (MECSC_SERVE_QUEUE_CAP).
+  std::size_t slot_ms = 100;        ///< Wall-clock slot length.
+  /// Ingest ring cells (rounded up to a power of two).
+  std::size_t queue_capacity = 65536;
   std::size_t producers = 2;        ///< Synthetic producer threads.
   bool bursty = true;               ///< Bursty workload (Figs. 6-7 regime).
   /// Data-paced slots: a slot closes when every producer finished it and
@@ -76,15 +76,15 @@ struct ServeOptions {
   /// the same accounting fault::FaultInjector applies to admission-shed
   /// requests (fault::FaultOptions::shed_penalty_ms).
   double shed_penalty_ms = 250.0;
-  /// Producer push retries before an event is shed (wall mode;
-  /// MECSC_SERVE_RETRY_CAP). Retries back off exponentially — yields
-  /// first, then escalating microsleeps — so a transiently full shard
-  /// costs retries, not shed events. Paced producers retry until the
-  /// collector catches up and never shed.
+  /// Producer push retries before an event is shed (wall mode).
+  /// Retries back off exponentially — yields first, then escalating
+  /// microsleeps — so a transiently full ring costs retries, not shed
+  /// events. Paced producers retry until the collector catches up and
+  /// never shed.
   std::size_t submit_retries = 64;
   /// Checkpoint the full decision state every N completed slots
-  /// (MECSC_CHECKPOINT_EVERY; 0 = off). Requires a trace
-  /// (checkpoints store trace offsets for crash-consistent resume).
+  /// (0 = off). Requires a trace (checkpoints store trace offsets for
+  /// crash-consistent resume).
   std::size_t checkpoint_every = 0;
   /// Checkpoint file ("" = `trace_out` + ".ckpt").
   std::string checkpoint_path;
@@ -105,13 +105,9 @@ struct ServeOptions {
   /// placement without deciding at all. Both events are recorded in the
   /// trace's per-record flags, so replay stays bit-identical.
   bool watchdog = true;
-  std::string trace_out;            ///< Trace file (MECSC_TRACE_OUT; "" = off).
+  std::string trace_out;            ///< Trace file ("" = off).
   std::string prom_out;             ///< Live Prometheus dump path ("" = off).
 };
-
-/// ServeOptions with MECSC_SERVE_SLOT_MS / MECSC_SERVE_SHARDS /
-/// MECSC_SERVE_QUEUE_CAP / MECSC_TRACE_OUT applied over the defaults.
-ServeOptions serve_options_from_env();
 
 /// The scenario recipe shared by the daemon and trace replay: both sides
 /// must materialise the identical problem instance from a ServeOptions,
@@ -175,7 +171,7 @@ class SlotService {
 
   /// External producer API: contributes `demand` units for `request` to
   /// slot `slot`'s snapshot. Returns false when the event was shed
-  /// (shard full after the configured retries). Thread-safe; callers
+  /// (ring full after the configured retries). Thread-safe; callers
   /// must not submit a given request id concurrently from two threads.
   bool submit(std::uint32_t request, std::uint32_t slot, double demand);
 
@@ -210,7 +206,7 @@ class SlotService {
   /// First slot this run serves (> 0 after a resume).
   std::size_t start_slot() const noexcept { return start_slot_; }
 
-  /// Producer pushes retried against a full shard so far.
+  /// Producer pushes retried against a full ring so far.
   std::uint64_t ingest_retries() const noexcept {
     return ingest_retries_.load(std::memory_order_relaxed);
   }
@@ -239,7 +235,7 @@ class SlotService {
 
   ServeOptions options_;
   std::unique_ptr<sim::Scenario> scenario_;
-  std::unique_ptr<ShardedIngestQueue> queue_;
+  std::unique_ptr<MpscRing> queue_;
   std::unique_ptr<algorithms::OnlineCachingAlgorithm> algorithm_;
   std::unique_ptr<sim::SlotEngine> engine_;
   std::unique_ptr<TraceWriter> trace_;

@@ -29,23 +29,22 @@ void usage() {
 }
 
 // Names the *resolved* core::AggregateMode value the trace stores
-// (kEnv = 0 never appears in a recorded config; headers used to be
-// misprinted here by an off-by-one that ignored the kEnv enumerator).
+// (kEnv = 0 never appears in a recorded config, and 2 is the retired
+// auto mode).
 const char* aggregate_name(std::uint8_t mode) {
   switch (mode) {
     case 1: return "off";
-    case 2: return "auto";
     case 3: return "on";
     default: return "?";
   }
 }
 
-// Names the resolved core::SolverTier value the trace stores (v3).
+// Names the resolved core::SolverTier value the trace stores (v3; 2 and
+// 4 are the retired simplex and auto tiers).
 const char* solver_name(std::uint8_t tier) {
   switch (tier) {
     case 1: return "flow";
     case 3: return "lagrangian";
-    case 4: return "auto";
     default: return "?";
   }
 }

@@ -60,15 +60,15 @@ struct ScenarioParams {
   /// what the replaying process's environment says.
   bool fault_env_override = true;
   /// Demand-class aggregation (DESIGN.md §11). The default defers to the
-  /// MECSC_AGGREGATE environment variable ("off" | "auto" | "on", off
-  /// when unset); an explicit mode set here always wins over the
+  /// MECSC_AGGREGATE environment variable ("off" | "on", off when
+  /// unset); an explicit mode set here always wins over the
   /// environment. The scenario resolves the mode once at construction —
   /// read it back via Scenario::aggregate_mode() and pass it to
   /// algorithm options so every replication shares one decision.
   core::AggregateMode aggregate = core::AggregateMode::kEnv;
   /// Per-slot LP solver tier (DESIGN.md §16). The default defers to the
-  /// MECSC_SOLVER environment variable ("flow" | "lagrangian" | "auto",
-  /// flow when unset); an explicit tier set here always wins.
+  /// MECSC_SOLVER environment variable ("flow" | "lagrangian", flow when
+  /// unset); an explicit tier set here always wins.
   /// Resolved once at construction — read it back via
   /// Scenario::solver_tier() and pass it to OlOptions::solver so every
   /// replication shares one decision.
@@ -139,8 +139,7 @@ class Scenario {
   /// act on the single decision made at scenario construction.
   core::AggregateMode aggregate_mode() const noexcept { return aggregate_mode_; }
 
-  /// The env-resolved solver tier (never kEnv; kAuto passes through and
-  /// re-resolves per slot by column count): params.solver with
+  /// The env-resolved solver tier (never kEnv): params.solver with
   /// MECSC_SOLVER applied when it was kEnv. Pass this into
   /// OlOptions::solver for the same single-decision contract as
   /// aggregate_mode().

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <string>
 
@@ -205,66 +203,6 @@ Trace Trace::from_demands(const std::vector<Request>& requests,
     rows.push_back(TraceRow{0, requests[0].location_cluster, 0, demands.at(0, 0)});
   }
   return Trace(std::move(rows), num_clusters, demands.horizon());
-}
-
-std::string Trace::to_csv() const {
-  std::string out = "user,cluster,slot,demand\n";
-  for (const auto& r : rows_) {
-    out += std::to_string(r.user) + ',' + std::to_string(r.cluster) + ',' +
-           std::to_string(r.slot) + ',';
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.9g", r.demand);
-    out += buf;
-    out += '\n';
-  }
-  return out;
-}
-
-Trace Trace::from_csv(const std::string& csv, std::size_t num_clusters,
-                      std::size_t horizon) {
-  std::vector<TraceRow> rows;
-  std::size_t max_cluster = 0;
-  std::size_t max_slot = 0;
-  std::size_t pos = 0;
-  std::size_t line_no = 0;
-  while (pos < csv.size()) {
-    std::size_t end = csv.find('\n', pos);
-    if (end == std::string::npos) end = csv.size();
-    std::string line = csv.substr(pos, end - pos);
-    pos = end + 1;
-    ++line_no;
-    if (line.empty()) continue;
-    if (line_no == 1 && line.rfind("user,", 0) == 0) continue;  // header
-    TraceRow r;
-    char* cursor = line.data();
-    char* next = nullptr;
-    auto parse_size = [&](const char* what) -> std::size_t {
-      unsigned long long v = std::strtoull(cursor, &next, 10);
-      if (next == cursor || *next != ',') {
-        throw common::InvalidArgument("trace CSV line " + std::to_string(line_no) +
-                                      ": bad " + what);
-      }
-      cursor = next + 1;
-      return static_cast<std::size_t>(v);
-    };
-    r.user = parse_size("user");
-    r.cluster = parse_size("cluster");
-    r.slot = parse_size("slot");
-    r.demand = std::strtod(cursor, &next);
-    if (next == cursor || r.demand < 0.0) {
-      throw common::InvalidArgument("trace CSV line " + std::to_string(line_no) +
-                                    ": bad demand");
-    }
-    max_cluster = std::max(max_cluster, r.cluster);
-    max_slot = std::max(max_slot, r.slot);
-    rows.push_back(r);
-  }
-  if (rows.empty()) {
-    throw common::InvalidArgument("trace CSV contains no data rows");
-  }
-  num_clusters = std::max(num_clusters, max_cluster + 1);
-  horizon = std::max(horizon, max_slot + 1);
-  return Trace(std::move(rows), num_clusters, horizon);
 }
 
 }  // namespace mecsc::workload

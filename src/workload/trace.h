@@ -117,17 +117,6 @@ class Trace {
                             const DemandMatrix& demands, std::size_t num_clusters,
                             double sample_fraction, common::Rng& rng);
 
-  /// Serialises to CSV: header `user,cluster,slot,demand`, one row per
-  /// observation — the interchange format for bringing real hotspot
-  /// datasets (e.g. the paper's NYC Wi-Fi sample) into the library.
-  std::string to_csv() const;
-
-  /// Parses the CSV format written by `to_csv`. Cluster/horizon are
-  /// inferred as (max id + 1) unless larger values are given. Throws
-  /// InvalidArgument on malformed input.
-  static Trace from_csv(const std::string& csv, std::size_t num_clusters = 0,
-                        std::size_t horizon = 0);
-
  private:
   /// Converts per-slot sums+counts into a gap-filled mean series.
   static void fill_gaps(std::vector<double>& sum,

@@ -90,7 +90,6 @@ FractionalSolution expand(const FractionalSolution& cls,
 TEST(AggregateMode, ExplicitSettingsWinOverEnvironment) {
   setenv("MECSC_AGGREGATE", "on", 1);
   EXPECT_EQ(resolve_aggregate_mode(AggregateMode::kOff), AggregateMode::kOff);
-  EXPECT_EQ(resolve_aggregate_mode(AggregateMode::kAuto), AggregateMode::kAuto);
   EXPECT_EQ(resolve_aggregate_mode(AggregateMode::kOn), AggregateMode::kOn);
   unsetenv("MECSC_AGGREGATE");
 }
@@ -100,12 +99,14 @@ TEST(AggregateMode, EnvParsesAllValuesAndDefaultsOff) {
   EXPECT_EQ(resolve_aggregate_mode(AggregateMode::kEnv), AggregateMode::kOff);
   setenv("MECSC_AGGREGATE", "off", 1);
   EXPECT_EQ(resolve_aggregate_mode(AggregateMode::kEnv), AggregateMode::kOff);
-  setenv("MECSC_AGGREGATE", "auto", 1);
-  EXPECT_EQ(resolve_aggregate_mode(AggregateMode::kEnv), AggregateMode::kAuto);
   setenv("MECSC_AGGREGATE", "on", 1);
   EXPECT_EQ(resolve_aggregate_mode(AggregateMode::kEnv), AggregateMode::kOn);
-  setenv("MECSC_AGGREGATE", "bogus", 1);
-  EXPECT_EQ(resolve_aggregate_mode(AggregateMode::kEnv), AggregateMode::kOff);
+  // Unknown values, the retired "auto" among them, warn and mean off.
+  for (const char* bogus : {"bogus", "auto"}) {
+    setenv("MECSC_AGGREGATE", bogus, 1);
+    EXPECT_EQ(resolve_aggregate_mode(AggregateMode::kEnv), AggregateMode::kOff)
+        << bogus;
+  }
   unsetenv("MECSC_AGGREGATE");
 }
 
@@ -458,29 +459,6 @@ TEST(OlGdAggregated, FlowPathRunsWithDelayCloseToPerRequest) {
   // delay stays in the per-request ballpark even on a tiny instance.
   EXPECT_NEAR(agg.mean_delay_ms(), flat.mean_delay_ms(),
               0.15 * flat.mean_delay_ms());
-}
-
-TEST(OlGdAggregated, AutoModeUsesThresholds) {
-  sim::Scenario s(agg_params(43));
-  algorithms::OlOptions opt;
-  opt.theta_prior = s.theta_prior();
-  opt.aggregate = core::AggregateMode::kAuto;
-  opt.aggregation.auto_threshold = 1;  // 40 requests >= 1: aggregates
-  auto algo = algorithms::make_ol_gd(s.problem(), s.demands(), opt,
-                                     s.algorithm_seed(0));
-  (void)s.simulator().run(*algo);
-  auto* ol = dynamic_cast<algorithms::OnlineCachingAlgorithm*>(algo.get());
-  ASSERT_NE(ol, nullptr);
-  EXPECT_GT(ol->last_num_classes(), 0u);
-  EXPECT_LT(ol->last_num_classes(), 40u);
-
-  opt.aggregation.auto_threshold = 1000;  // 40 < 1000: per-request path
-  auto algo2 = algorithms::make_ol_gd(s.problem(), s.demands(), opt,
-                                      s.algorithm_seed(0));
-  (void)s.simulator().run(*algo2);
-  auto* ol2 = dynamic_cast<algorithms::OnlineCachingAlgorithm*>(algo2.get());
-  ASSERT_NE(ol2, nullptr);
-  EXPECT_EQ(ol2->last_num_classes(), 0u);
 }
 
 TEST(OlGdAggregated, ParallelReplicationsBitwiseIdenticalWithAggregationOn) {

@@ -187,38 +187,6 @@ TEST(RunningStats, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(empty.mean(), 5.0);
 }
 
-TEST(Histogram, BasicBinning) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.5);
-  h.add(5.0);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-  EXPECT_EQ(h.bin_count(5), 1u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, OutOfRangeClamps) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(-5.0);
-  h.add(99.0);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(3), 1u);
-}
-
-TEST(Histogram, QuantileApproximatesUniform) {
-  Histogram h(0.0, 1.0, 100);
-  Rng rng(31);
-  for (int i = 0; i < 100000; ++i) h.add(rng.uniform());
-  EXPECT_NEAR(h.quantile(0.5), 0.5, 0.03);
-  EXPECT_NEAR(h.quantile(0.9), 0.9, 0.03);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 10), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 TEST(StatsHelpers, MeanOf) {
   EXPECT_DOUBLE_EQ(mean_of({}), 0.0);
   EXPECT_DOUBLE_EQ(mean_of({1.0, 2.0, 3.0}), 2.0);

@@ -149,11 +149,6 @@ TEST(Autodiff, ActivationGradients) {
   check_gradients({a}, [&] { return op_mean_all(op_scale(a, 2.5)); });
 }
 
-TEST(Autodiff, ReluGradientAwayFromKink) {
-  Var a = parameter(Matrix(1, 4, {-2.0, -0.5, 0.5, 2.0}));
-  check_gradients({a}, [&] { return op_mean_all(op_relu(a)); });
-}
-
 TEST(Autodiff, ConcatSliceGradients) {
   common::Rng rng(7);
   Var a = parameter(Matrix::randn(2, 3, rng));
@@ -354,19 +349,6 @@ TEST(Module, ParameterCounts) {
   EXPECT_EQ(bi.parameter_count(), 2u * ((2u + 5u) * 20u + 20u));
 }
 
-TEST(Optimizer, SgdConvergesOnQuadratic) {
-  // min (w - 3)^2 via MSE against the constant 3.
-  Var w = parameter(Matrix(1, 1, 0.0));
-  Sgd opt({w}, 0.1);
-  for (int i = 0; i < 200; ++i) {
-    opt.zero_grad();
-    Var loss = loss_mse(w, constant(Matrix(1, 1, 3.0)));
-    backward(loss);
-    opt.step();
-  }
-  EXPECT_NEAR(w->value[0], 3.0, 1e-4);
-}
-
 TEST(Optimizer, AdamConvergesOnQuadratic) {
   Var w = parameter(Matrix(1, 2, {-4.0, 10.0}));
   Adam opt({w}, 0.05);
@@ -392,7 +374,7 @@ TEST(Optimizer, GradClipBoundsNorm) {
 
 TEST(Optimizer, RejectsNonParameterInputs) {
   Var c = constant(Matrix(1, 1, 0.0));
-  EXPECT_THROW(Sgd({c}, 0.1), std::exception);
+  EXPECT_THROW(Adam({c}, 0.1), std::exception);
 }
 
 TEST(Lstm, LearnsToEchoSign) {

@@ -172,15 +172,6 @@ TEST_F(GanPredictorFixture, RejectsSizeMismatchOnObserve) {
   EXPECT_THROW(p.observe(0, {1.0}), std::exception);
 }
 
-TEST_F(GanPredictorFixture, UnderlyingModelPersists) {
-  GanDemandPredictor p(workload_.requests, *trace_, tiny_options(), 46);
-  std::string blob = p.model().serialize();
-  gan::InfoRnnGan restored = gan::InfoRnnGan::deserialize(blob, 1);
-  std::vector<double> history(p.model().config().seq_len, 0.3);
-  EXPECT_DOUBLE_EQ(p.model().predict_next(history, 0),
-                   restored.predict_next(history, 0));
-}
-
 TEST_F(GanPredictorFixture, PredictionsTrackClusterScale) {
   // A request whose cluster demand history sits high should not be
   // predicted at (near) zero once the model has real observations.

@@ -1,17 +1,15 @@
 // Tests for the serve subsystem's pipeline and trace machinery: paced
-// end-to-end runs, slot-snapshot determinism across shard counts, the
+// end-to-end runs, slot-snapshot determinism across producer counts, the
 // binary trace round-trip, replay bit-identity, the query API, and the
 // admission-control shed accounting.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include "serve/ingest_queue.h"
 #include "serve/replay.h"
 #include "serve/service.h"
 #include "serve/trace_io.h"
@@ -19,8 +17,7 @@
 namespace mecsc::serve {
 namespace {
 
-ServeOptions small_options(std::uint64_t seed, std::size_t shards,
-                           std::size_t producers = 2) {
+ServeOptions small_options(std::uint64_t seed, std::size_t producers = 2) {
   ServeOptions options;
   options.seed = seed;
   options.num_stations = 15;
@@ -28,7 +25,6 @@ ServeOptions small_options(std::uint64_t seed, std::size_t shards,
   options.num_services = 4;
   options.horizon = 8;
   options.slot_ms = 100;
-  options.shards = shards;
   options.queue_capacity = 1024;
   options.producers = producers;
   options.bursty = true;
@@ -52,7 +48,7 @@ std::vector<SlotTraceRecord> read_all(const std::string& path,
 }
 
 TEST(SlotService, PacedRunServesEverySlotLossless) {
-  ServeOptions options = small_options(11, 4);
+  ServeOptions options = small_options(11);
   SlotService service(options);
   // Count the nonzero demand events the synthetic producers will emit.
   std::uint64_t expected = 0;
@@ -77,20 +73,20 @@ TEST(SlotService, PacedRunServesEverySlotLossless) {
 }
 
 // The slot-boundary determinism contract: the same scenario produces the
-// same snapshots and decisions regardless of how the ingest path is
-// sharded or how many producers feed it.
-TEST(SlotService, SnapshotsAndDecisionsIndependentOfShardCount) {
-  const std::string trace_a = temp_path("shards1.trace");
-  const std::string trace_b = temp_path("shards5.trace");
+// same snapshots and decisions regardless of how many producers feed the
+// ingest ring, and so of the order their events are drained in.
+TEST(SlotService, SnapshotsAndDecisionsIndependentOfProducerCount) {
+  const std::string trace_a = temp_path("producers1.trace");
+  const std::string trace_b = temp_path("producers3.trace");
   {
-    ServeOptions options = small_options(23, 1, 1);
+    ServeOptions options = small_options(23, 1);
     options.trace_out = trace_a;
     SlotService service(options);
     service.start();
     service.join();
   }
   {
-    ServeOptions options = small_options(23, 5, 3);
+    ServeOptions options = small_options(23, 3);
     options.trace_out = trace_b;
     SlotService service(options);
     service.start();
@@ -113,7 +109,7 @@ TEST(SlotService, SnapshotsAndDecisionsIndependentOfShardCount) {
 // demand matrix bitwise — the premise that makes live == batch.
 TEST(SlotService, PacedSnapshotsEqualScenarioDemandsBitwise) {
   const std::string trace = temp_path("snapshots.trace");
-  ServeOptions options = small_options(31, 3);
+  ServeOptions options = small_options(31);
   options.trace_out = trace;
   SlotService service(options);
   service.start();
@@ -224,7 +220,7 @@ TEST(TraceIo, TruncatedTraceIsNotWellFormed) {
 
 TEST(Replay, LiveTraceReplaysBitForBit) {
   const std::string path = temp_path("replay.trace");
-  ServeOptions options = small_options(47, 4);
+  ServeOptions options = small_options(47);
   options.trace_out = path;
   {
     SlotService service(options);
@@ -241,7 +237,7 @@ TEST(Replay, LiveTraceReplaysBitForBit) {
 
 TEST(Replay, DetectsDivergingDecision) {
   const std::string path = temp_path("tampered.trace");
-  ServeOptions options = small_options(53, 2);
+  ServeOptions options = small_options(53);
   options.trace_out = path;
   {
     SlotService service(options);
@@ -268,7 +264,7 @@ TEST(Replay, DetectsDivergingDecision) {
 }
 
 TEST(SlotService, QueryApiAnswersFromCommittedDecision) {
-  ServeOptions options = small_options(61, 2);
+  ServeOptions options = small_options(61);
   SlotService service(options);
   EXPECT_NE(service.handle_query("{\"q\":\"stats\"}").find("\"q\":\"stats\""),
             std::string::npos);
@@ -297,8 +293,8 @@ TEST(SlotService, QueryApiAnswersFromCommittedDecision) {
             std::string::npos);
 }
 
-TEST(SlotService, AdmissionShedsWhenShardBacksUp) {
-  ServeOptions options = small_options(67, 1, 0);
+TEST(SlotService, AdmissionShedsWhenRingBacksUp) {
+  ServeOptions options = small_options(67, 0);
   options.paced = false;       // bounded retries, not lossless spinning
   options.queue_capacity = 4;  // minimum ring
   options.submit_retries = 0;
@@ -310,26 +306,6 @@ TEST(SlotService, AdmissionShedsWhenShardBacksUp) {
   EXPECT_FALSE(service.submit(5, 0, 1.0));
   const ServeReport report = service.join();
   EXPECT_EQ(report.shed, 2u);
-}
-
-TEST(ServeOptionsEnv, ReadsCatalogueVariables) {
-  setenv("MECSC_SERVE_SLOT_MS", "250", 1);
-  setenv("MECSC_SERVE_SHARDS", "3", 1);
-  setenv("MECSC_SERVE_QUEUE_CAP", "512", 1);
-  setenv("MECSC_TRACE_OUT", "/tmp/env.trace", 1);
-  const ServeOptions options = serve_options_from_env();
-  EXPECT_EQ(options.slot_ms, 250u);
-  EXPECT_EQ(options.shards, 3u);
-  EXPECT_EQ(options.queue_capacity, 512u);
-  EXPECT_EQ(options.trace_out, "/tmp/env.trace");
-  unsetenv("MECSC_SERVE_SLOT_MS");
-  unsetenv("MECSC_SERVE_SHARDS");
-  unsetenv("MECSC_SERVE_QUEUE_CAP");
-  unsetenv("MECSC_TRACE_OUT");
-  const ServeOptions defaults = serve_options_from_env();
-  EXPECT_EQ(defaults.slot_ms, 100u);
-  EXPECT_EQ(defaults.shards, 8u);
-  EXPECT_EQ(defaults.trace_out, "");
 }
 
 }  // namespace

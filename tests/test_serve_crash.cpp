@@ -488,7 +488,7 @@ TEST(FaultChurn, ServeTraceReplaysBitIdentical) {
 }
 
 // Bounded retry with backoff replaces immediate shedding: with no
-// collector draining, a tiny shard queue fills, retries exhaust, and
+// collector draining, a tiny ingest ring fills, retries exhaust, and
 // the give-up counters account for every event.
 TEST(SubmitRetry, BoundedBackoffThenGiveUpIsCounted) {
   ServeOptions options;
@@ -497,7 +497,6 @@ TEST(SubmitRetry, BoundedBackoffThenGiveUpIsCounted) {
   options.num_services = 3;
   options.horizon = 2;
   options.producers = 0;  // external driver: this test is the producer
-  options.shards = 1;
   options.queue_capacity = 16;
   options.submit_retries = 3;
   SlotService service(options);
@@ -543,9 +542,9 @@ TEST(ExitCodes, UsageAndCorruptTraceContract) {
 }
 
 // A recipe byte naming no live aggregation mode or solver tier — kEnv
-// (0), the retired simplex tier (2), or a value past the enum — is a
-// corrupt trace: replay refuses it with the typed error and --verify
-// exits 3.
+// (0), the retired simplex tier (solver 2), the retired auto modes
+// (aggregate 2, solver 4), or a value past the enum — is a corrupt
+// trace: replay refuses it with the typed error and --verify exits 3.
 TEST(ExitCodes, RecipeNamingNoLiveTierOrModeIsCorrupt) {
   const std::string trace = temp_path("recipe.trace");
   const std::string patched = temp_path("recipe_patched.trace");
@@ -574,8 +573,10 @@ TEST(ExitCodes, RecipeNamingNoLiveTierOrModeIsCorrupt) {
     std::uint8_t value;
   } cases[] = {{&TraceConfig::solver, 0},
                {&TraceConfig::solver, 2},
+               {&TraceConfig::solver, 4},
                {&TraceConfig::solver, 9},
                {&TraceConfig::aggregate, 0},
+               {&TraceConfig::aggregate, 2},
                {&TraceConfig::aggregate, 4}};
   for (const auto& c : cases) {
     SCOPED_TRACE(std::string(c.field == &TraceConfig::solver ? "solver" : "aggregate") +

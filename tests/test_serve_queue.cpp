@@ -1,7 +1,6 @@
 // Tests for the serve ingest queue: Vyukov-style MPSC ring semantics
-// (FIFO, bounded, exact delivery under producer contention) and the
-// sharded front door's routing/backpressure. The stress tests here are
-// the ones CI additionally runs under ThreadSanitizer.
+// (FIFO, bounded, exact delivery under producer contention). The stress
+// tests here are the ones CI additionally runs under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +19,7 @@ TEST(MpscRing, FifoSingleThreaded) {
   for (std::uint32_t i = 0; i < 5; ++i) {
     ASSERT_TRUE(ring.try_push({i, 0, static_cast<double>(i)}));
   }
+  EXPECT_EQ(ring.approx_size(), 5u);
   IngestEvent ev;
   for (std::uint32_t i = 0; i < 5; ++i) {
     ASSERT_TRUE(ring.try_pop(ev));
@@ -27,6 +27,7 @@ TEST(MpscRing, FifoSingleThreaded) {
     EXPECT_DOUBLE_EQ(ev.demand, static_cast<double>(i));
   }
   EXPECT_FALSE(ring.try_pop(ev));
+  EXPECT_EQ(ring.approx_size(), 0u);
 }
 
 TEST(MpscRing, CapacityRoundsUpToPowerOfTwo) {
@@ -124,85 +125,6 @@ TEST(MpscRing, PerProducerOrderPreserved) {
   }
   a.join();
   b.join();
-}
-
-TEST(ShardedIngestQueue, RoutesByHomeStationModShards) {
-  ShardedIngestQueue queue(3, 8);
-  EXPECT_EQ(queue.num_shards(), 3u);
-  EXPECT_EQ(queue.shard_of(0), 0u);
-  EXPECT_EQ(queue.shard_of(4), 1u);
-  EXPECT_EQ(queue.shard_of(5), 2u);
-  ASSERT_TRUE(queue.try_push(4, {7, 0, 2.0}));
-  IngestEvent ev;
-  EXPECT_FALSE(queue.try_pop(0, ev));
-  ASSERT_TRUE(queue.try_pop(1, ev));
-  EXPECT_EQ(ev.request, 7u);
-}
-
-TEST(ShardedIngestQueue, DrainCollectsAcrossShards) {
-  ShardedIngestQueue queue(4, 16);
-  for (std::uint32_t i = 0; i < 12; ++i) {
-    ASSERT_TRUE(queue.try_push(i, {i, 0, 1.0}));
-  }
-  EXPECT_EQ(queue.approx_depth(), 12u);
-  std::vector<IngestEvent> out;
-  EXPECT_EQ(queue.drain(out, static_cast<std::size_t>(-1)), 12u);
-  EXPECT_EQ(out.size(), 12u);
-  EXPECT_EQ(queue.approx_depth(), 0u);
-}
-
-TEST(ShardedIngestQueue, FullShardRejectsOthersUnaffected) {
-  ShardedIngestQueue queue(2, 4);
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(queue.try_push(0, {i, 0, 1.0}));
-  }
-  EXPECT_FALSE(queue.try_push(0, {4, 0, 1.0}));  // shard 0 full -> shed
-  EXPECT_TRUE(queue.try_push(1, {5, 0, 1.0}));   // shard 1 still open
-}
-
-// Multi-producer stress through the sharded interface with a concurrent
-// draining consumer: per-request demand sums must come out exact.
-TEST(ShardedIngestQueue, StressShardedAccumulationExact) {
-  constexpr std::size_t kProducers = 3;
-  constexpr std::uint32_t kRequests = 64;
-  constexpr std::uint32_t kRounds = 2000;
-  ShardedIngestQueue queue(5, 128);
-
-  std::vector<std::thread> producers;
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&queue, p] {
-      // Static partition: producer p owns request ids ≡ p (mod kProducers).
-      for (std::uint32_t round = 0; round < kRounds; ++round) {
-        for (std::uint32_t l = static_cast<std::uint32_t>(p); l < kRequests;
-             l += kProducers) {
-          while (!queue.try_push(l % 7, {l, round, 1.0})) {
-            std::this_thread::yield();
-          }
-        }
-      }
-    });
-  }
-
-  std::vector<std::uint32_t> counts(kRequests, 0);
-  std::vector<IngestEvent> buffer;
-  std::size_t total = 0;
-  const std::size_t expected = kRequests * kRounds;
-  while (total < expected) {
-    buffer.clear();
-    if (queue.drain(buffer, static_cast<std::size_t>(-1)) == 0) {
-      std::this_thread::yield();
-      continue;
-    }
-    for (const IngestEvent& ev : buffer) {
-      ASSERT_LT(ev.request, kRequests);
-      ++counts[ev.request];
-    }
-    total += buffer.size();
-  }
-  for (std::thread& t : producers) t.join();
-  for (std::uint32_t l = 0; l < kRequests; ++l) {
-    EXPECT_EQ(counts[l], kRounds) << "request " << l;
-  }
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 // the vector main loops, the unrolled multi-stream loops, and the
 // scalar/padded tails (sizes mod 4 and mod 16), plus NaN and denormal
 // inputs. The FP contract being verified (documented in DESIGN.md):
-//   * add/sub/mul/scale/axpy/relu/relu_grad/sigmoid_grad/tanh_grad are
-//     bit-exact — same IEEE ops in the same order;
+//   * add/sub/mul/scale/axpy/sigmoid_grad/tanh_grad are bit-exact —
+//     same IEEE ops in the same order;
 //   * matmul and matmul_aTb keep the scalar k-accumulation order and
 //     differ only by FMA contraction (tolerance ~1e-13 relative);
 //   * matmul_abT uses partial accumulators (reduction order differs);
@@ -15,18 +15,24 @@
 //     where it sits in the buffer (this is what makes batched GAN
 //     inference bit-identical to sequential).
 //
-// When SIMD is inactive (scalar build, non-AVX2 CPU, or MECSC_SIMD=off)
-// the dispatchers run the reference itself and every check still holds
-// trivially, so the suite is safe in all CI legs.
+// The flow solver's kernels (flow/simd_relax.h) are bit-exact too and
+// are checked against restated copies of MinCostFlow's scalar loops.
+//
+// When SIMD is inactive (scalar build or non-AVX2 CPU) the dispatchers
+// run the reference itself and every nn check still holds trivially;
+// the flow-kernel tests skip. The suite is safe in all CI legs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/simd.h"
+#include "flow/simd_relax.h"
 #include "gan/info_rnn_gan.h"
 #include "nn/matrix.h"
 
@@ -43,18 +49,20 @@ Matrix random_matrix(std::size_t r, std::size_t c, common::Rng& rng) {
   return Matrix::randn(r, c, rng, 2.0);
 }
 
+// Bit pattern of a double, so -0.0 vs 0.0 and NaN payloads compare too.
+std::uint64_t bits_of(double v) {
+  std::uint64_t b = 0;
+  static_assert(sizeof b == sizeof v);
+  __builtin_memcpy(&b, &v, sizeof b);
+  return b;
+}
+
 void expect_bit_equal(const Matrix& a, const Matrix& b, const char* what) {
   ASSERT_EQ(a.rows(), b.rows());
   ASSERT_EQ(a.cols(), b.cols());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    // Bit-level compare so -0.0 vs 0.0 and NaN payloads count too.
-    std::uint64_t ab, bb;
-    double av = a[i], bv = b[i];
-    static_assert(sizeof ab == sizeof av);
-    __builtin_memcpy(&ab, &av, sizeof ab);
-    __builtin_memcpy(&bb, &bv, sizeof bb);
-    ASSERT_EQ(ab, bb) << what << " diverges at " << i << ": " << av << " vs "
-                      << bv;
+    ASSERT_EQ(bits_of(a[i]), bits_of(b[i]))
+        << what << " diverges at " << i << ": " << a[i] << " vs " << b[i];
   }
 }
 
@@ -96,10 +104,6 @@ TEST(SimdEquivalence, BitExactElementwise) {
     nn::scalar::scale_into(want, a, -1.75);
     expect_bit_equal(got, want, "scale");
 
-    nn::map_relu_into(got, a);
-    nn::scalar::map_relu_into(want, a);
-    expect_bit_equal(got, want, "relu");
-
     nn::sigmoid_grad_into(got, a, b);
     nn::scalar::sigmoid_grad_into(want, a, b);
     expect_bit_equal(got, want, "sigmoid_grad");
@@ -107,10 +111,6 @@ TEST(SimdEquivalence, BitExactElementwise) {
     nn::tanh_grad_into(got, a, b);
     nn::scalar::tanh_grad_into(want, a, b);
     expect_bit_equal(got, want, "tanh_grad");
-
-    nn::relu_grad_into(got, a, b);
-    nn::scalar::relu_grad_into(want, a, b);
-    expect_bit_equal(got, want, "relu_grad");
 
     Matrix y1 = random_matrix(3, n, rng);
     Matrix y2 = y1;
@@ -209,19 +209,7 @@ TEST(SimdEquivalence, SpecialValues) {
   const double denorm = std::numeric_limits<double>::denorm_min();
   Matrix a = Matrix::row({nan, -nan, inf, -inf, denorm, -denorm, 0.0, -0.0,
                           710.0, -710.0, 1e-300, -1.0, 1.0});
-  Matrix g = Matrix::row({1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0,
-                          11.0, 12.0, 13.0});
   Matrix got, want;
-
-  // relu and relu_grad have documented NaN semantics (NaN → 0 / keep g);
-  // both paths must implement the same rule.
-  nn::map_relu_into(got, a);
-  nn::scalar::map_relu_into(want, a);
-  expect_bit_equal(got, want, "relu special");
-
-  nn::relu_grad_into(got, g, a);
-  nn::scalar::relu_grad_into(want, g, a);
-  expect_bit_equal(got, want, "relu_grad special");
 
   // sigmoid/tanh: NaN propagates, ±inf and the exp over/underflow region
   // hit the exact limits; denormals pass through the polynomial.
@@ -279,6 +267,164 @@ TEST(SimdEquivalence, BatchedGanInferenceMatchesSequential) {
     EXPECT_EQ(batched[i], seq) << "forecast " << i
                                << " depends on batch composition";
   }
+}
+
+// ---------------------------------------------------------------------
+// Flow-solver kernels (flow/simd_relax.h) against MinCostFlow's scalar
+// Dijkstra loops, restated below as references. The kernels promise bit
+// identity — simd_relax.cpp is built with -ffp-contract=off — so every
+// comparison is exact. No binary runs both paths of MinCostFlow, hence
+// the kernel-level check. Each case covers lengths 0–13 (every tail
+// path) plus a few multi-block lengths.
+// ---------------------------------------------------------------------
+
+#if defined(MECSC_SIMD_AVX2)
+constexpr double kFlowEps = 1e-9;  // MinCostFlow's kEps
+constexpr double kInf = std::numeric_limits<double>::infinity();
+const std::size_t kFlowLengths[] = {0, 1, 2,  3,  4,  5,  6,  7,  8,
+                                    9, 10, 11, 12, 13, 31, 64};
+
+// A value from a small pool, so exact ties are frequent.
+double tied_value(common::Rng& rng) {
+  static const double kPool[] = {0.0, 0.5, 1.25, 2.0, 7.5};
+  return kPool[rng.index(std::size(kPool))];
+}
+#endif  // MECSC_SIMD_AVX2
+
+// Skips unless the AVX2 kernels run in this build on this CPU.
+class FlowSimdKernels : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!common::simd::active()) {
+      GTEST_SKIP() << "AVX2 kernels inactive (" << common::simd::scalar_reason()
+                   << ")";
+    }
+  }
+};
+
+// The relaxation loop's coarse test (residual capacity, then tentative
+// distance), without the done-set check the kernel also leaves out.
+TEST_F(FlowSimdKernels, FilterCandidatesMatchesScalarRelaxTest) {
+#if defined(MECSC_SIMD_AVX2)
+  constexpr std::size_t kNodes = 24;
+  common::Rng rng(71);
+  for (std::size_t len : kFlowLengths) {
+    for (std::uint32_t lo : {0u, 1u, 3u}) {
+      for (int trial = 0; trial < 50; ++trial) {
+        const std::uint32_t hi = lo + static_cast<std::uint32_t>(len);
+        std::vector<double> cap(hi), cost(hi);
+        std::vector<std::uint32_t> to(hi);
+        std::vector<double> pot(kNodes), dist(kNodes);
+        for (std::size_t v = 0; v < kNodes; ++v) {
+          pot[v] = tied_value(rng);
+          // Undiscovered (+inf), tied and arbitrary distances.
+          const double r = rng.uniform();
+          dist[v] = r < 0.3   ? kInf
+                    : r < 0.6 ? tied_value(rng)
+                              : rng.uniform(0.0, 10.0);
+        }
+        const double base = tied_value(rng);
+        for (std::uint32_t at = 0; at < hi; ++at) {
+          // Capacities at, just above and below the eps threshold.
+          const double r = rng.uniform();
+          cap[at] = r < 0.2   ? kFlowEps
+                    : r < 0.3 ? 0.0
+                    : r < 0.4 ? 2 * kFlowEps
+                              : rng.uniform(0.0, 5.0);
+          to[at] = static_cast<std::uint32_t>(rng.index(kNodes));
+          cost[at] =
+              rng.bernoulli(0.5) ? tied_value(rng) : rng.uniform(0.0, 10.0);
+          if (rng.bernoulli(0.2)) {
+            // dist[v] sits eps above the tentative distance: the
+            // threshold case of the strict <.
+            const std::uint32_t v = to[at];
+            dist[v] = base + cost[at] - pot[v] + kFlowEps;
+          }
+        }
+        std::vector<std::uint32_t> want;
+        for (std::uint32_t at = lo; at < hi; ++at) {
+          if (cap[at] <= kFlowEps) continue;
+          const std::uint32_t v = to[at];
+          const double nd = base + cost[at] - pot[v];
+          if (nd < dist[v] - kFlowEps) want.push_back(at);
+        }
+        std::vector<std::uint32_t> got(len + 1);
+        got.resize(flow::avx2::filter_candidates(cap.data(), cost.data(),
+                                                 to.data(), pot.data(),
+                                                 dist.data(), base, kFlowEps,
+                                                 lo, hi, got.data()));
+        ASSERT_EQ(got, want)
+            << "len " << len << " lo " << lo << " trial " << trial;
+      }
+    }
+  }
+#endif
+}
+
+// Johnson potential update: pot[v] += std::min(dist[v], dsink), which
+// keeps dist on a tie — visible in the sign of a zero.
+TEST_F(FlowSimdKernels, PotentialUpdateMatchesScalarLoop) {
+#if defined(MECSC_SIMD_AVX2)
+  common::Rng rng(72);
+  for (std::size_t n : kFlowLengths) {
+    for (int trial = 0; trial < 50; ++trial) {
+      const double dsink = trial % 5 == 0 ? 0.0 : tied_value(rng);
+      std::vector<double> pot(n), dist(n);
+      for (std::size_t v = 0; v < n; ++v) {
+        const double r = rng.uniform();
+        if (dsink == 0.0 && r < 0.3) {
+          dist[v] = -0.0;  // ties dsink = +0.0; -0.0 + -0.0 keeps the sign
+          pot[v] = -0.0;
+          continue;
+        }
+        dist[v] = r < 0.3 ? kInf : r < 0.6 ? dsink : rng.uniform(0.0, 10.0);
+        pot[v] = rng.uniform(-5.0, 5.0);
+      }
+      std::vector<double> want = pot;
+      for (std::size_t v = 0; v < n; ++v) want[v] += std::min(dist[v], dsink);
+      flow::avx2::potential_update(pot.data(), dist.data(), dsink, n);
+      for (std::size_t v = 0; v < n; ++v) {
+        ASSERT_EQ(bits_of(pot[v]), bits_of(want[v]))
+            << "n " << n << " trial " << trial << " at " << v << ": " << pot[v]
+            << " vs " << want[v];
+      }
+    }
+  }
+#endif
+}
+
+// The dense Dijkstra's frontier scan: smallest dist, first occurrence on
+// exact ties (strict <), so both paths settle the same node.
+TEST_F(FlowSimdKernels, FrontierArgminMatchesScalarScan) {
+#if defined(MECSC_SIMD_AVX2)
+  constexpr std::size_t kNodes = 80;
+  common::Rng rng(73);
+  for (std::size_t f : kFlowLengths) {
+    if (f == 0) continue;  // the kernel requires a non-empty frontier
+    for (int trial = 0; trial < 50; ++trial) {
+      std::vector<double> dist(kNodes);
+      for (double& d : dist) {
+        // trial 0: all +inf, the untouched-frontier corner.
+        d = trial == 0 || rng.bernoulli(0.2) ? kInf : tied_value(rng);
+      }
+      std::vector<std::uint32_t> frontier(kNodes);
+      for (std::uint32_t v = 0; v < kNodes; ++v) frontier[v] = v;
+      rng.shuffle(frontier);
+      frontier.resize(f);
+      std::size_t want = 0;
+      double best = dist[frontier[0]];
+      for (std::size_t s = 1; s < f; ++s) {
+        if (dist[frontier[s]] < best) {
+          best = dist[frontier[s]];
+          want = s;
+        }
+      }
+      EXPECT_EQ(flow::avx2::frontier_argmin(frontier.data(), f, dist.data()),
+                want)
+          << "f " << f << " trial " << trial;
+    }
+  }
+#endif
 }
 
 }  // namespace

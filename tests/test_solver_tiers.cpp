@@ -2,8 +2,8 @@
 // §16): MECSC_SOLVER / MECSC_LAG_* resolution, the Lagrangian
 // decomposition's objective agreement with the flow tier and the exact
 // simplex oracle on fig3/fig6-shaped instances, warm-state validation on
-// both solvers, OL_GD's tier dispatch (explicit > env, kAuto by column
-// count, the gap-miss fallback chain), survival under fault churn on
+// both solvers, OL_GD's tier dispatch (explicit > env, the gap-miss
+// fallback chain), survival under fault churn on
 // every tier, and the bitwise checkpoint round-trip of the Lagrangian
 // dual state (serve checkpoint format v3).
 #include <gtest/gtest.h>
@@ -44,7 +44,6 @@ TEST(SolverTierResolution, ExplicitSettingsWinOverEnvironment) {
   EXPECT_EQ(resolve_solver_tier(SolverTier::kFlow), SolverTier::kFlow);
   EXPECT_EQ(resolve_solver_tier(SolverTier::kLagrangian),
             SolverTier::kLagrangian);
-  EXPECT_EQ(resolve_solver_tier(SolverTier::kAuto), SolverTier::kAuto);
   unsetenv("MECSC_SOLVER");
 }
 
@@ -55,11 +54,10 @@ TEST(SolverTierResolution, EnvParsesAllValuesAndDefaultsFlow) {
   EXPECT_EQ(resolve_solver_tier(SolverTier::kEnv), SolverTier::kFlow);
   setenv("MECSC_SOLVER", "lagrangian", 1);
   EXPECT_EQ(resolve_solver_tier(SolverTier::kEnv), SolverTier::kLagrangian);
-  setenv("MECSC_SOLVER", "auto", 1);
-  EXPECT_EQ(resolve_solver_tier(SolverTier::kEnv), SolverTier::kAuto);
   // Unknown values warn and resolve to flow — including the retired
-  // simplex tier, which is now the test oracle, not a serving tier.
-  for (const char* unknown : {"bogus", "simplex"}) {
+  // simplex tier, which is now the test oracle, not a serving tier, and
+  // the retired per-slot auto tier.
+  for (const char* unknown : {"bogus", "simplex", "auto"}) {
     setenv("MECSC_SOLVER", unknown, 1);
     EXPECT_EQ(resolve_solver_tier(SolverTier::kEnv), SolverTier::kFlow) << unknown;
   }
@@ -69,7 +67,6 @@ TEST(SolverTierResolution, EnvParsesAllValuesAndDefaultsFlow) {
 TEST(SolverTierResolution, NamesAreStable) {
   EXPECT_STREQ(solver_tier_name(SolverTier::kFlow), "flow");
   EXPECT_STREQ(solver_tier_name(SolverTier::kLagrangian), "lagrangian");
-  EXPECT_STREQ(solver_tier_name(SolverTier::kAuto), "auto");
 }
 
 TEST(SolverTierResolution, LagrangianKnobsComeFromEnvironment) {
@@ -375,21 +372,6 @@ TEST(OlGdSolverTiers, TiersAgreeOnFig3AndFig6ShapedRuns) {
     EXPECT_NEAR(lag.mean_delay_ms(), flow.mean_delay_ms(),
                 0.15 * flow.mean_delay_ms());
   }
-}
-
-TEST(OlGdSolverTiers, AutoTierPicksByColumnCount) {
-  sim::Scenario s(tier_params(92));
-  algorithms::OnlineCachingAlgorithm* algo = nullptr;
-  std::unique_ptr<algorithms::CachingAlgorithm> keep;
-  algorithms::OlOptions opt;
-  opt.lagrangian.auto_threshold = 1;  // 40 request columns >= 1
-  (void)run_tier(s, core::SolverTier::kAuto, opt, &algo, &keep);
-  ASSERT_NE(algo, nullptr);
-  EXPECT_EQ(algo->last_solver_tier(), core::SolverTier::kLagrangian);
-
-  opt.lagrangian.auto_threshold = 1000;  // 40 < 1000: flow stays
-  (void)run_tier(s, core::SolverTier::kAuto, opt, &algo, &keep);
-  EXPECT_EQ(algo->last_solver_tier(), core::SolverTier::kFlow);
 }
 
 TEST(OlGdSolverTiers, ExplicitTierWinsOverEnvironment) {

@@ -385,60 +385,5 @@ TEST(Mobility, HomeStationFollowsPosition) {
   }
 }
 
-TEST(TraceCsv, RoundTrip) {
-  std::vector<TraceRow> rows{
-      {0, 0, 0, 4.5}, {1, 1, 2, 6.25}, {2, 0, 3, 0.0},
-  };
-  Trace t(rows, 2, 5);
-  std::string csv = t.to_csv();
-  Trace back = Trace::from_csv(csv, 2, 5);
-  ASSERT_EQ(back.rows().size(), 3u);
-  EXPECT_EQ(back.rows()[1].user, 1u);
-  EXPECT_EQ(back.rows()[1].cluster, 1u);
-  EXPECT_EQ(back.rows()[1].slot, 2u);
-  EXPECT_DOUBLE_EQ(back.rows()[1].demand, 6.25);
-  EXPECT_EQ(back.num_clusters(), 2u);
-  EXPECT_EQ(back.horizon(), 5u);
-}
-
-TEST(TraceCsv, InfersDimensions) {
-  Trace t = Trace::from_csv("user,cluster,slot,demand\n0,3,7,1.5\n");
-  EXPECT_EQ(t.num_clusters(), 4u);
-  EXPECT_EQ(t.horizon(), 8u);
-}
-
-TEST(TraceCsv, AcceptsHeaderlessInput) {
-  Trace t = Trace::from_csv("1,0,0,2.0\n2,1,1,3.0\n");
-  EXPECT_EQ(t.rows().size(), 2u);
-}
-
-TEST(TraceCsv, RejectsMalformedInput) {
-  EXPECT_THROW(Trace::from_csv(""), std::exception);
-  EXPECT_THROW(Trace::from_csv("user,cluster,slot,demand\n"), std::exception);
-  EXPECT_THROW(Trace::from_csv("a,b,c,d\n"), std::exception);
-  EXPECT_THROW(Trace::from_csv("0,0,0\n"), std::exception);
-  EXPECT_THROW(Trace::from_csv("0,0,0,-5.0\n"), std::exception);
-}
-
-TEST(TraceCsv, SurvivesSampledScenarioTrace) {
-  net::Topology topo = test_topology();
-  common::Rng rng(51);
-  WorkloadParams p;
-  p.num_requests = 10;
-  Workload w = make_workload(topo, p, rng, true);
-  common::Rng drng(53);
-  DemandMatrix m = realize_demands(w.requests, w.processes, 30, drng);
-  common::Rng trng(55);
-  Trace t = Trace::from_demands(w.requests, m, p.num_clusters, 0.5, trng);
-  Trace back = Trace::from_csv(t.to_csv(), t.num_clusters(), t.horizon());
-  ASSERT_EQ(back.rows().size(), t.rows().size());
-  // Gap-filled series must agree (CSV preserves observations).
-  for (std::size_t c = 0; c < t.num_clusters(); ++c) {
-    auto a = t.cluster_series(c);
-    auto b = back.cluster_series(c);
-    for (std::size_t s = 0; s < a.size(); ++s) EXPECT_NEAR(a[s], b[s], 1e-5);
-  }
-}
-
 }  // namespace
 }  // namespace mecsc::workload

@@ -19,8 +19,8 @@ cd "$(dirname "$0")/.."
 # the compile-time SIMD macros (MECSC_FORCE_SCALAR is a CMake option;
 # MECSC_SIMD_AVX2 / MECSC_AVX2 are #define dispatch switches — the
 # digit-less token regex below truncates them to *_AVX). The assertion
-# macros are anchored ($) so they don't swallow real env vars sharing
-# the prefix (MECSC_CHECKPOINT_EVERY).
+# macros are anchored ($) so they cannot swallow a real env var sharing
+# their prefix (a MECSC_CHECKPOINT_DIR, say, would still be checked).
 EXCLUDE='MECSC_CHECK$|MECSC_CHECK_MSG$|MECSC_COUNT|MECSC_GAUGE_SET|MECSC_HISTOGRAM|MECSC_SPAN|MECSC_OBS_CONCAT|MECSC_TEST_ENV|MECSC_FORCE_SCALAR|MECSC_SIMD_AVX$|MECSC_AVX$|MECSC_[A-Z_]*_H\b'
 
 # Every MECSC_[A-Z_]* token in the shipped C++ sources (tests excluded:
