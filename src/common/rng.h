@@ -59,8 +59,10 @@ class Rng {
     return std::bernoulli_distribution(p)(engine_);
   }
 
-  /// Normal draw.
+  /// Normal draw. stddev == 0 returns `mean` without a draw
+  /// (std::normal_distribution requires stddev > 0).
   double normal(double mean = 0.0, double stddev = 1.0) {
+    if (stddev == 0.0) return mean;
     return std::normal_distribution<double>(mean, stddev)(engine_);
   }
 

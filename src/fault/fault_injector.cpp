@@ -12,26 +12,9 @@ FaultInjector::FaultInjector(core::CachingProblem& problem, FaultPlan plan)
   MECSC_CHECK_MSG(!plan_.empty(), "empty fault plan");
   MECSC_CHECK_MSG(plan_.slot(0).station_up.size() == problem.num_stations(),
                   "fault plan / problem station count mismatch");
-  const std::size_t horizon = plan_.horizon();
-  summaries_.resize(horizon);
-  shed_.resize(horizon);
-
-  // Outage bookkeeping is plan-only, so it is summarised here once.
-  const std::size_t ns = problem.num_stations();
-  for (std::size_t t = 0; t < horizon; ++t) {
-    const SlotFaults& sf = plan_.slot(t);
-    SlotFaultSummary& sum = summaries_[t];
-    for (std::size_t i = 0; i < ns; ++i) {
-      const bool up = sf.station_up[i] != 0;
-      if (!up) ++sum.active_outages;
-      if (up && sf.capacity_factor[i] < 1.0) ++sum.derated;
-      if (sf.feedback_lost[i]) ++sum.censored;
-      const bool was_up = t == 0 || plan_.slot(t - 1).station_up[i] != 0;
-      if (was_up && !up) ++sum.newly_down;
-      if (!was_up && up) ++sum.recovered;
-    }
-    sum.flash_crowd = !sf.cluster_multiplier.empty();
-  }
+  shed_requests_.assign(plan_.horizon(), 0);
+  shed_penalty_ms_.assign(plan_.horizon(), 0.0);
+  state_.outage_penalty_factor = plan_.options().outage_penalty_factor;
 }
 
 void FaultInjector::apply_to_demands(workload::DemandMatrix& demands) {
@@ -53,7 +36,6 @@ void FaultInjector::apply_to_demands(workload::DemandMatrix& demands) {
   std::vector<std::size_t> order(nr);
   for (std::size_t t = 0; t < horizon; ++t) {
     const SlotFaults& sf = plan_.slot(t);
-    SlotFaultSummary& sum = summaries_[t];
 
     // 1. Flash crowds: amplify the affected clusters' demand.
     for (std::size_t j = 0; j + 1 < sf.cluster_multiplier.size(); j += 2) {
@@ -100,24 +82,27 @@ void FaultInjector::apply_to_demands(workload::DemandMatrix& demands) {
       if (!oversize && need <= budget) break;
       demands.set(l, t, 0.0);
       need -= res;
-      shed_[t].push_back(static_cast<std::uint32_t>(l));
-      ++sum.shed_requests;
-      sum.shed_penalty_ms += opt.shed_penalty_ms;
+      ++shed_requests_[t];
+      shed_penalty_ms_[t] += opt.shed_penalty_ms;
     }
   }
 }
 
-const SlotFaultSummary& FaultInjector::begin_slot(std::size_t t) {
+const SlotFaultState& FaultInjector::begin_slot(std::size_t t) {
   MECSC_CHECK_MSG(t < plan_.horizon(), "slot beyond fault plan horizon");
   const SlotFaults& sf = plan_.slot(t);
   const std::size_t ns = problem_->num_stations();
-  capacity_scratch_.resize(ns);
+  state_.station_up = sf.station_up;
+  state_.feedback_lost = sf.feedback_lost;
+  state_.effective_capacity_mhz.resize(ns);
   for (std::size_t i = 0; i < ns; ++i) {
-    capacity_scratch_[i] =
+    state_.effective_capacity_mhz[i] =
         problem_->topology().station(i).capacity_mhz * sf.capacity_factor[i];
   }
-  problem_->set_station_capacities(capacity_scratch_);
-  return summaries_[t];
+  problem_->set_station_capacities(state_.effective_capacity_mhz);
+  state_.shed_requests = shed_requests_[t];
+  state_.shed_penalty_ms = shed_penalty_ms_[t];
+  return state_;
 }
 
 void FaultInjector::end_run() { problem_->reset_station_capacities(); }

@@ -2,6 +2,7 @@
 #define MECSC_FAULT_FAULT_INJECTOR_H
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/problem.h"
@@ -10,24 +11,29 @@
 
 namespace mecsc::fault {
 
-/// Per-slot fault summary the simulator folds into its SlotRecord.
-struct SlotFaultSummary {
-  std::size_t active_outages = 0;  ///< Stations down this slot.
-  std::size_t newly_down = 0;      ///< Up in t-1, down in t (evict caches).
-  std::size_t recovered = 0;       ///< Down in t-1, up in t (re-instantiate).
-  std::size_t derated = 0;         ///< Up but serving below full capacity.
-  std::size_t censored = 0;        ///< Stations whose d_i(t) is lost.
-  std::size_t shed_requests = 0;   ///< Admission-control deferrals.
-  bool flash_crowd = false;        ///< A flash crowd peaks this slot.
+/// One slot's realised fault state: what FaultInjector::begin_slot
+/// returns, what sim::SlotEngine::step applies, and what a serve trace
+/// record's fault block stores, so a replay needs no fault plan.
+struct SlotFaultState {
+  /// Per station, nonzero = up (serving, possibly derated).
+  std::vector<std::uint8_t> station_up;
+  /// Per station, nonzero = d_i(t) censored towards the algorithm.
+  std::vector<std::uint8_t> feedback_lost;
+  /// Per-station effective (derated) capacities in MHz, installed into
+  /// the problem for the slot.
+  std::vector<double> effective_capacity_mhz;
+  /// Unit-delay multiplier for a request served at a down station.
+  double outage_penalty_factor = 1.0;
+  /// Requests admission control shed (demand deferred) this slot.
+  std::uint32_t shed_requests = 0;
   /// Total delay penalty (ms, pre-averaging) the shed requests incur.
   double shed_penalty_ms = 0.0;
 };
 
 /// Applies a FaultPlan to a run: mutates the problem's effective station
-/// capacities per slot, bakes flash crowds and admission-control
+/// capacities per slot, and bakes flash crowds and admission-control
 /// shedding into the demand matrix up front (so every algorithm and the
-/// scorer see the same post-fault sample path), and exposes per-slot
-/// summaries plus the censoring mask.
+/// scorer see the same post-fault sample path).
 ///
 /// Everything is precomputed at construction/apply time from the
 /// deterministic plan — begin_slot only copies state into the problem —
@@ -44,48 +50,26 @@ class FaultInjector {
   /// demand exceeds admission_margin × surviving capacity (or a request
   /// cannot fit the largest up station), the largest-demand requests are
   /// shed — their demand is zeroed (deferred) and the per-request shed
-  /// penalty is recorded in the slot summary. Call once, before the run.
+  /// penalty is recorded for the slot. Call once, before the run.
   void apply_to_demands(workload::DemandMatrix& demands);
 
   /// Installs slot t's effective capacities into the problem and
-  /// returns the slot's summary.
-  const SlotFaultSummary& begin_slot(std::size_t t);
+  /// returns the slot's realised fault state (valid until the next
+  /// begin_slot).
+  const SlotFaultState& begin_slot(std::size_t t);
 
   /// Restores the problem's full static capacities.
   void end_run();
 
   /// The materialised fault schedule being applied.
   const FaultPlan& plan() const noexcept { return plan_; }
-  /// Slot t's fault summary (valid after begin_slot(t)).
-  const SlotFaultSummary& summary(std::size_t t) const { return summaries_.at(t); }
-
-  /// True when station i serves (possibly derated) in slot t.
-  bool station_up(std::size_t t, std::size_t i) const {
-    return plan_.slot(t).station_up[i] != 0;
-  }
-  /// True when station i's delay feedback is censored in slot t.
-  bool feedback_lost(std::size_t t, std::size_t i) const {
-    return plan_.slot(t).feedback_lost[i] != 0;
-  }
-  /// Requests shed (demand deferred) in slot t; valid after
-  /// apply_to_demands.
-  const std::vector<std::uint32_t>& shed(std::size_t t) const {
-    return shed_.at(t);
-  }
-
-  /// The effective (derated) per-station capacities installed by the
-  /// latest begin_slot() — what serve records into a trace's
-  /// realised-fault block.
-  const std::vector<double>& effective_capacities() const noexcept {
-    return capacity_scratch_;
-  }
 
  private:
   core::CachingProblem* problem_;
   FaultPlan plan_;
-  std::vector<SlotFaultSummary> summaries_;
-  std::vector<std::vector<std::uint32_t>> shed_;  // request ids per slot
-  std::vector<double> capacity_scratch_;
+  std::vector<std::uint32_t> shed_requests_;  // per slot
+  std::vector<double> shed_penalty_ms_;       // per slot
+  SlotFaultState state_;                      // the latest begin_slot's
   bool demands_applied_ = false;
 };
 

@@ -10,7 +10,8 @@
 
 namespace mecsc::fault {
 
-FaultMode mode_from_env() {
+FaultMode resolve_fault_mode(FaultMode configured) {
+  if (configured != FaultMode::kEnv) return configured;
   const char* v = std::getenv("MECSC_FAULTS");
   if (v == nullptr || *v == '\0' || std::strcmp(v, "off") == 0) {
     return FaultMode::kOff;
@@ -49,13 +50,14 @@ FaultPlan FaultPlan::generate(const net::Topology& topology, std::size_t horizon
   const std::size_t ns = topology.num_stations();
   FaultPlan plan;
   plan.options_ = options;
+  plan.options_.mode = resolve_fault_mode(options.mode);
   plan.slots_.resize(horizon);
   for (auto& sf : plan.slots_) {
     sf.station_up.assign(ns, 1);
     sf.capacity_factor.assign(ns, 1.0);
     sf.feedback_lost.assign(ns, 0);
   }
-  if (options.mode == FaultMode::kOff) return plan;
+  if (plan.options_.mode == FaultMode::kOff) return plan;
 
   const std::size_t lo = std::min(options.first_fault_slot, horizon);
   const std::size_t hi = std::min(options.last_fault_slot, horizon - 1);
@@ -96,7 +98,7 @@ FaultPlan FaultPlan::generate(const net::Topology& topology, std::size_t horizon
   // by admission control — "sheds < 100% of requests").
   const std::size_t biggest = topology.largest_station();
   for (auto& sf : plan.slots_) {
-    if (std::find(sf.station_up.begin(), sf.station_up.end(), char(1)) ==
+    if (std::find(sf.station_up.begin(), sf.station_up.end(), 1) ==
         sf.station_up.end()) {
       sf.station_up[biggest] = 1;
       sf.capacity_factor[biggest] = 1.0;
@@ -157,7 +159,7 @@ double FaultPlan::availability() const {
   if (slots_.empty() || slots_.front().station_up.empty()) return 1.0;
   std::size_t up = 0, total = 0;
   for (const auto& sf : slots_) {
-    for (char c : sf.station_up) {
+    for (std::uint8_t c : sf.station_up) {
       up += c ? 1 : 0;
       ++total;
     }
@@ -168,7 +170,7 @@ double FaultPlan::availability() const {
 std::size_t FaultPlan::total_outage_slots() const {
   std::size_t down = 0;
   for (const auto& sf : slots_) {
-    for (char c : sf.station_up) down += c ? 0 : 1;
+    for (std::uint8_t c : sf.station_up) down += c ? 0 : 1;
   }
   return down;
 }

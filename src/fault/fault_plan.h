@@ -10,17 +10,24 @@
 
 namespace mecsc::fault {
 
-/// What MECSC_FAULTS selects: no faults (default) or the full churn
-/// model (outages + derating + censored feedback + flash crowds).
+/// Fault model selection: no faults or the full churn model (outages +
+/// derating + censored feedback + flash crowds). kOff and kChurn are
+/// also the 0/1 of a serve trace recipe's `faults` byte.
 enum class FaultMode {
-  kOff,    ///< No faults: every station up, feedback intact.
-  kChurn,  ///< Outages + derating + censored feedback + flash crowds.
+  kOff = 0,    ///< No faults: every station up, feedback intact.
+  kChurn = 1,  ///< Outages + derating + censored feedback + flash crowds.
+  /// Resolve from the MECSC_FAULTS environment variable ("off" |
+  /// "churn"); unset or empty means kOff. The FaultOptions default, so
+  /// every bench re-runs under churn without code changes.
+  kEnv = 2,
 };
 
-/// Parses MECSC_FAULTS ("off" | "churn"; unset/empty = off). An
-/// unrecognised value warns on stderr and yields kOff — a silently
-/// misparsed fault switch would invalidate a whole benchmark run.
-FaultMode mode_from_env();
+/// Maps kEnv to MECSC_FAULTS (defaulting to kOff); explicit modes pass
+/// through unchanged, so code-level settings always win over the
+/// environment. An unrecognised value warns on stderr and yields kOff —
+/// a silently misparsed fault switch would invalidate a whole benchmark
+/// run.
+FaultMode resolve_fault_mode(FaultMode configured);
 
 /// Per-tier outage churn: exponential up-times with mean `mtbf_slots`
 /// alternating with exponential down-times with mean `mttr_slots`.
@@ -36,8 +43,9 @@ struct TierChurn {
 /// 100-slot scale: a handful of concurrent outages, occasional capacity
 /// dips, and roughly one flash crowd per run.
 struct FaultOptions {
-  /// Master switch; kOff generates an all-up plan.
-  FaultMode mode = FaultMode::kOff;
+  /// Master switch; kOff generates an all-up plan, kEnv defers to
+  /// MECSC_FAULTS.
+  FaultMode mode = FaultMode::kEnv;
 
   TierChurn macro{500.0, 3.0};  ///< Churn of macro-cloudlet stations.
   TierChurn micro{200.0, 5.0};  ///< Churn of micro-cloudlet stations.
@@ -87,12 +95,12 @@ struct FaultOptions {
 /// One slot's materialised fault state.
 struct SlotFaults {
   /// station_up[i] == 0 means bs_i (and its cached instances) is down.
-  std::vector<char> station_up;
+  std::vector<std::uint8_t> station_up;
   /// Effective-capacity factor per station (0 when down, (0,1] when
   /// derated, 1 when healthy).
   std::vector<double> capacity_factor;
   /// feedback_lost[i] != 0 censors d_i(t) towards the algorithms.
-  std::vector<char> feedback_lost;
+  std::vector<std::uint8_t> feedback_lost;
   /// Active flash crowds, flattened as (cluster_draw, multiplier) pairs.
   /// `cluster_draw` is a workload-independent id the injector maps to a
   /// concrete location cluster modulo the workload's cluster count.
@@ -117,7 +125,8 @@ class FaultPlan {
   FaultPlan() = default;
 
   /// Materialises the full schedule from (topology, horizon, options,
-  /// seed) — the only way to build a non-empty plan.
+  /// seed) — the only way to build a non-empty plan. A kEnv mode is
+  /// resolved here; options() reports the resolved mode.
   static FaultPlan generate(const net::Topology& topology, std::size_t horizon,
                             const FaultOptions& options, std::uint64_t seed);
 

@@ -125,10 +125,9 @@ ReplayResult replay_trace(const std::string& path, ReplayOptions options) {
   params.aggregate = recorded_aggregate(cfg.aggregate);
   params.solver = recorded_tier(cfg.solver);
   // Faults are replayed from the records' realised-fault blocks, never
-  // from a regenerated plan — build the faults-off problem instance and
-  // ignore MECSC_FAULTS entirely.
+  // from a regenerated plan — build the faults-off problem instance (an
+  // explicit mode, so MECSC_FAULTS is never consulted).
   params.fault.mode = fault::FaultMode::kOff;
-  params.fault_env_override = false;
   sim::Scenario scenario(params);
   const core::CachingProblem& problem = scenario.problem();
   const std::size_t n = problem.num_requests();
@@ -155,35 +154,23 @@ ReplayResult replay_trace(const std::string& path, ReplayOptions options) {
                                                ol_options, cfg.algo_seed);
   sim::SlotEngine engine(problem);
 
-  bool replayed_faults = false;
   for (std::size_t t = 0; t < records.size(); ++t) {
     const SlotTraceRecord& rec = records[t];
     // Honor the watchdog flags the live run recorded: the replay must
     // walk the exact same decision path, degraded or re-committed.
     if ((rec.flags & kSlotFlagDegradedHint) != 0) algorithm.set_decide_hint(2);
     const bool run_decide = (rec.flags & kSlotFlagRecommit) == 0;
-    sim::SlotRecord stepped;
+    // A recorded fault state replays like the live one: its capacities
+    // installed first, then the same step (which checks the block's
+    // sizes against the scenario).
+    const fault::SlotFaultState* faults = nullptr;
     if ((rec.flags & kSlotFlagFaults) != 0) {
-      MECSC_CHECK_MSG(rec.station_up.size() == stations &&
-                          rec.feedback_lost.size() == stations &&
-                          rec.effective_capacity_mhz.size() == stations,
-                      "trace fault block does not match the scenario");
       scenario.mutable_problem().set_station_capacities(
-          rec.effective_capacity_mhz);
-      replayed_faults = true;
-      sim::SlotFaultState faults;
-      faults.station_up = rec.station_up;
-      faults.feedback_lost = rec.feedback_lost;
-      faults.outage_penalty_factor = rec.outage_penalty_factor;
-      faults.shed_requests = rec.fault_shed_requests;
-      faults.shed_penalty_ms = rec.fault_shed_penalty_ms;
-      stepped = engine.step_recorded(t, algorithm, demands.slot(t),
-                                     rec.unit_delays, faults, run_decide);
-    } else {
-      stepped =
-          engine.step(t, algorithm, demands.slot(t), rec.unit_delays,
-                      run_decide);
+          rec.faults.effective_capacity_mhz);
+      faults = &rec.faults;
     }
+    const sim::SlotRecord stepped = engine.step(
+        t, algorithm, demands.slot(t), rec.unit_delays, faults, run_decide);
     const core::Assignment& decision = engine.last_decision();
 
     for (std::size_t l = 0; l < n; ++l) {
@@ -219,8 +206,6 @@ ReplayResult replay_trace(const std::string& path, ReplayOptions options) {
     }
     ++result.slots_compared;
   }
-  if (replayed_faults) scenario.mutable_problem().reset_station_capacities();
-  engine.end_run();
   result.bit_identical = true;
   return result;
 }

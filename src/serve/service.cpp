@@ -65,13 +65,6 @@ SlotService::SlotService(ServeOptions options) : options_(std::move(options)) {
   algorithm_ = std::make_unique<algorithms::OnlineCachingAlgorithm>(
       "OL_GD", scenario_->problem(), ol_options, scenario_->algorithm_seed(0));
   engine_ = std::make_unique<sim::SlotEngine>(scenario_->problem());
-  // Fault-churn composition: the engine runs the injector's per-slot
-  // effects exactly like the batch simulator, and every slot's realised
-  // fault state is recorded into the trace (kSlotFlagFaults), so replay
-  // stays bit-for-bit without the plan.
-  if (scenario_->mutable_fault_injector() != nullptr) {
-    engine_->set_fault_injector(scenario_->mutable_fault_injector());
-  }
 
   producer_count_ = options_.producers > 0 ? options_.producers : 1;
   producers_done_ =
@@ -119,9 +112,6 @@ void SlotService::resume_from_checkpoint() {
   shed_total_.store(ckpt.shed, std::memory_order_relaxed);
   ingest_retries_.store(ckpt.ingest_retries, std::memory_order_relaxed);
   ingest_gave_up_.store(ckpt.ingest_gave_up, std::memory_order_relaxed);
-  // Replay the fault plan's begin_slot side effects up to the resume
-  // point: the injector itself is stateless per slot (the plan is
-  // pre-materialised), so nothing to fast-forward there.
 }
 
 void SlotService::write_slot_checkpoint(std::size_t t) {
@@ -308,6 +298,11 @@ void SlotService::decide_loop() {
   const core::CachingProblem& problem = scenario_->problem();
   const std::size_t n = problem.num_requests();
   obs::Registry& registry = obs::default_registry();
+  // Fault-churn composition: each slot runs under the injector's realised
+  // fault state, exactly like the batch simulator, and that state is
+  // recorded into the trace (kSlotFlagFaults), so replay stays
+  // bit-for-bit without the plan.
+  fault::FaultInjector* injector = scenario_->mutable_fault_injector();
   for (;;) {
     SlotBatch batch;
     {
@@ -345,28 +340,23 @@ void SlotService::decide_loop() {
     }
 
     if (!recommit) algorithm_->set_live_demands(batch.snapshot);
-    sim::SlotRecord record =
-        engine_->step(t, *algorithm_, batch.snapshot, delays, !recommit);
+    const fault::SlotFaultState* faults =
+        injector != nullptr ? &injector->begin_slot(t) : nullptr;
+    sim::SlotRecord record = engine_->step(t, *algorithm_, batch.snapshot,
+                                           delays, faults, !recommit);
 
-    // Fault-side shed accounting as the engine recorded it — captured
-    // before the serve-side fold below so the trace keeps the two
-    // contributions separate (replay folds each side exactly once).
-    const auto fault_shed_requests =
-        static_cast<std::uint32_t>(record.fault_shed_requests);
-    const double fault_shed_penalty_ms = record.fault_shed_penalty_ms;
-
+    // Admission-control shedding, accounted exactly as the fault
+    // subsystem's shedding path: the per-request penalty folds into the
+    // slot objective pre-averaging. The trace keeps this serve-side
+    // contribution apart from the fault block's (replay folds each side
+    // exactly once).
+    const double shed_penalty_ms =
+        static_cast<double>(batch.shed) * options_.shed_penalty_ms;
     if (batch.shed > 0) {
-      // Admission-control shedding, accounted exactly as the fault
-      // subsystem's shedding path: the per-request penalty folds into
-      // the slot objective pre-averaging.
-      fault::SlotFaultSummary shed_summary;
-      shed_summary.shed_requests = batch.shed;
-      shed_summary.shed_penalty_ms =
-          static_cast<double>(batch.shed) * options_.shed_penalty_ms;
-      record.fault_shed_requests += shed_summary.shed_requests;
-      record.fault_shed_penalty_ms += shed_summary.shed_penalty_ms;
+      record.fault_shed_requests += batch.shed;
+      record.fault_shed_penalty_ms += shed_penalty_ms;
       const double per_request =
-          shed_summary.shed_penalty_ms / static_cast<double>(n == 0 ? 1 : n);
+          shed_penalty_ms / static_cast<double>(n == 0 ? 1 : n);
       record.avg_delay_ms += per_request;
       record.avg_delay_incremental_ms += per_request;
     }
@@ -393,26 +383,13 @@ void SlotService::decide_loop() {
       tr.cached_bits = pack_cached_bits(decision.cached);
       tr.ingested = batch.ingested;
       tr.shed = batch.shed;
-      tr.shed_penalty_ms =
-          static_cast<double>(batch.shed) * options_.shed_penalty_ms;
+      tr.shed_penalty_ms = shed_penalty_ms;
       tr.avg_delay_ms = record.avg_delay_ms;
       tr.decide_ms = record.decision_time_ms;
       tr.flags = slot_flags;
-      const fault::FaultInjector* injector = scenario_->fault_injector();
-      if (injector != nullptr) {
-        // Realised fault state of the slot — everything step_recorded
-        // needs to reproduce the engine's fault arithmetic at replay
-        // without the plan.
+      if (faults != nullptr) {
         tr.flags |= kSlotFlagFaults;
-        const fault::SlotFaults& sf = injector->plan().slot(t);
-        tr.station_up.assign(sf.station_up.begin(), sf.station_up.end());
-        tr.feedback_lost.assign(sf.feedback_lost.begin(),
-                                sf.feedback_lost.end());
-        tr.effective_capacity_mhz = injector->effective_capacities();
-        tr.outage_penalty_factor =
-            injector->plan().options().outage_penalty_factor;
-        tr.fault_shed_requests = fault_shed_requests;
-        tr.fault_shed_penalty_ms = fault_shed_penalty_ms;
+        tr.faults = *faults;
       }
       trace_->append(tr);
       trace_->flush();
@@ -471,7 +448,7 @@ void SlotService::decide_loop() {
 
     slot_records_.push_back(std::move(record));
   }
-  engine_->end_run();
+  if (injector != nullptr) injector->end_run();
 }
 
 void SlotService::commit(std::size_t slot) {

@@ -17,10 +17,10 @@
 // through sim::SlotEngine — the identical decide → score → observe
 // protocol the batch simulator runs — while the collector is already
 // accumulating slot t+1, so ingest, decide and observe/feedback overlap.
-// Admission control sheds events when the ring backs up, accounted with
-// the fault subsystem's shedding bookkeeping (fault::SlotFaultSummary,
-// same per-request delay penalty). Every committed decision is published
-// for the query API, optionally appended to a binary trace
+// Admission control sheds events when the ring backs up, accounted like
+// the fault subsystem's admission shedding (the same per-request delay
+// penalty folded into the slot objective). Every committed decision is
+// published for the query API, optionally appended to a binary trace
 // (serve::TraceWriter), and reflected in live serve.* telemetry.
 
 #include <atomic>

@@ -24,8 +24,8 @@ std::string serialize_record(const SlotTraceRecord& r) {
   std::string buf;
   buf.reserve(96 + r.demands.size() * 12 + r.unit_delays.size() * 8 +
               r.station_of_request.size() * 2 + r.cached_bits.size() +
-              r.station_up.size() + r.feedback_lost.size() +
-              r.effective_capacity_mhz.size() * 8);
+              r.faults.station_up.size() + r.faults.feedback_lost.size() +
+              r.faults.effective_capacity_mhz.size() * 8);
   put(buf, r.slot);
   put(buf, static_cast<std::uint32_t>(r.demands.size()));
   for (const auto& [id, demand] : r.demands) {
@@ -46,16 +46,17 @@ std::string serialize_record(const SlotTraceRecord& r) {
   put(buf, r.decide_ms);
   put(buf, r.flags);
   if (r.flags & kSlotFlagFaults) {
-    put(buf, static_cast<std::uint32_t>(r.station_up.size()));
-    put_bytes(buf, r.station_up.data(), r.station_up.size());
-    put(buf, static_cast<std::uint32_t>(r.feedback_lost.size()));
-    put_bytes(buf, r.feedback_lost.data(), r.feedback_lost.size());
-    put(buf, static_cast<std::uint32_t>(r.effective_capacity_mhz.size()));
-    put_bytes(buf, r.effective_capacity_mhz.data(),
-              r.effective_capacity_mhz.size() * sizeof(double));
-    put(buf, r.outage_penalty_factor);
-    put(buf, r.fault_shed_requests);
-    put(buf, r.fault_shed_penalty_ms);
+    const fault::SlotFaultState& f = r.faults;
+    put(buf, static_cast<std::uint32_t>(f.station_up.size()));
+    put_bytes(buf, f.station_up.data(), f.station_up.size());
+    put(buf, static_cast<std::uint32_t>(f.feedback_lost.size()));
+    put_bytes(buf, f.feedback_lost.data(), f.feedback_lost.size());
+    put(buf, static_cast<std::uint32_t>(f.effective_capacity_mhz.size()));
+    put_bytes(buf, f.effective_capacity_mhz.data(),
+              f.effective_capacity_mhz.size() * sizeof(double));
+    put(buf, f.outage_penalty_factor);
+    put(buf, f.shed_requests);
+    put(buf, f.shed_penalty_ms);
   }
   return buf;
 }
@@ -91,26 +92,22 @@ bool parse_record(Cursor& c, SlotTraceRecord& r) {
         c.take(r.avg_delay_ms) && c.take(r.decide_ms) && c.take(r.flags))) {
     return false;
   }
-  r.station_up.clear();
-  r.feedback_lost.clear();
-  r.effective_capacity_mhz.clear();
-  r.outage_penalty_factor = 1.0;
-  r.fault_shed_requests = 0;
-  r.fault_shed_penalty_ms = 0.0;
+  r.faults = fault::SlotFaultState{};
   if (r.flags & kSlotFlagFaults) {
+    fault::SlotFaultState& f = r.faults;
     if (!take_count(c, 1, n)) return false;
-    r.station_up.resize(n);
-    if (!c.take(r.station_up.data(), n)) return false;
+    f.station_up.resize(n);
+    if (!c.take(f.station_up.data(), n)) return false;
     if (!take_count(c, 1, n)) return false;
-    r.feedback_lost.resize(n);
-    if (!c.take(r.feedback_lost.data(), n)) return false;
+    f.feedback_lost.resize(n);
+    if (!c.take(f.feedback_lost.data(), n)) return false;
     if (!take_count(c, sizeof(double), n)) return false;
-    r.effective_capacity_mhz.resize(n);
-    if (!c.take(r.effective_capacity_mhz.data(), n * sizeof(double))) {
+    f.effective_capacity_mhz.resize(n);
+    if (!c.take(f.effective_capacity_mhz.data(), n * sizeof(double))) {
       return false;
     }
-    if (!(c.take(r.outage_penalty_factor) && c.take(r.fault_shed_requests) &&
-          c.take(r.fault_shed_penalty_ms))) {
+    if (!(c.take(f.outage_penalty_factor) && c.take(f.shed_requests) &&
+          c.take(f.shed_penalty_ms))) {
       return false;
     }
   }

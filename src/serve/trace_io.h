@@ -47,6 +47,8 @@
 #include <string>
 #include <vector>
 
+#include "fault/fault_injector.h"
+
 namespace mecsc::serve {
 
 namespace wire {
@@ -112,7 +114,7 @@ struct TraceConfig {
   std::uint32_t slot_ms = 0;       ///< Wall-clock slot length (ms).
   std::uint8_t bursty = 1;         ///< Bursty workload flag.
   std::uint8_t aggregate = 1;      ///< core::AggregateMode (env-resolved).
-  std::uint8_t faults = 0;         ///< fault::FaultMode (env-resolved).
+  std::uint8_t faults = 0;         ///< 1 when fault churn is on (env-resolved).
   std::uint8_t solver = 1;         ///< core::SolverTier (env-resolved; v3).
   std::uint64_t algo_seed = 0;     ///< Seed of the pipeline's algorithm.
   double shed_penalty_ms = 250.0;  ///< Per-shed-request delay penalty.
@@ -154,7 +156,7 @@ struct SlotTraceRecord {
   std::uint32_t ingested = 0;      ///< Events folded into the snapshot.
   std::uint32_t shed = 0;          ///< Events shed by admission control.
   /// Serve-side shed penalty only (pre-averaging); the fault subsystem's
-  /// shed penalty lives in fault_shed_penalty_ms below so replay can
+  /// shed penalty lives in faults.shed_penalty_ms below so replay can
   /// fold each side exactly once.
   double shed_penalty_ms = 0.0;
   double avg_delay_ms = 0.0;       ///< Realised slot objective.
@@ -165,17 +167,12 @@ struct SlotTraceRecord {
   /// hinted straight to the degraded solver; kSlotFlagFaults — the
   /// realised-fault block below is present.
   std::uint32_t flags = 0;
-  /// Realised fault state (present iff flags & kSlotFlagFaults): one
-  /// byte per station for the up/censored masks, the effective (derated)
-  /// capacities the decision was made under, and the fault-side shed
+  /// Realised fault state (present iff flags & kSlotFlagFaults): the
+  /// up/censored masks, the effective (derated) capacities the decision
+  /// was made under, the outage penalty and the fault-side shed
   /// accounting. Together with the snapshot this is everything replay
   /// needs to reproduce the engine's fault arithmetic without the plan.
-  std::vector<std::uint8_t> station_up;
-  std::vector<std::uint8_t> feedback_lost;
-  std::vector<double> effective_capacity_mhz;
-  double outage_penalty_factor = 1.0;
-  std::uint32_t fault_shed_requests = 0;
-  double fault_shed_penalty_ms = 0.0;
+  fault::SlotFaultState faults;
 };
 
 /// Streaming writer. Records append with per-record checksums; close()

@@ -1,7 +1,6 @@
 #include "sim/scenario.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/error.h"
 
@@ -118,10 +117,7 @@ Scenario::Scenario(const ScenarioParams& params) : params_(params) {
   // feasibility check below and every algorithm see the same post-fault
   // sample path.
   fault::FaultOptions fopt = params.fault;
-  if (const char* env = std::getenv("MECSC_FAULTS");
-      params.fault_env_override && env != nullptr && *env != '\0') {
-    fopt.mode = fault::mode_from_env();
-  }
+  fopt.mode = fault::resolve_fault_mode(fopt.mode);
   if (fopt.mode != fault::FaultMode::kOff) {
     fault_injector_ = std::make_unique<fault::FaultInjector>(
         *problem_,

@@ -46,19 +46,14 @@ struct ScenarioParams {
   /// Enable per-slot hindsight-optimum computation (slow; regret benches
   /// only).
   bool track_regret = false;
-  /// Fault injection (DESIGN.md §9). Off by default; the MECSC_FAULTS
-  /// environment variable ("off" | "churn"), when set and non-empty,
-  /// overrides `fault.mode` so existing benches can be re-run under
-  /// churn without a recompile. The fault plan draws from its own child
-  /// seed, so enabling faults never shifts the topology / workload /
-  /// delay sample paths.
+  /// Fault injection (DESIGN.md §9). The default mode defers to the
+  /// MECSC_FAULTS environment variable ("off" | "churn", off when
+  /// unset), so existing benches re-run under churn without a
+  /// recompile; an explicit mode set here always wins over the
+  /// environment. The scenario resolves the mode once at construction.
+  /// The fault plan draws from its own child seed, so enabling faults
+  /// never shifts the topology / workload / delay sample paths.
   fault::FaultOptions fault;
-  /// When false, MECSC_FAULTS is ignored and `fault.mode` alone decides
-  /// whether an injector is built. Trace replay needs this: a trace
-  /// recorded under churn carries the realised fault state per record,
-  /// so its replay must build the faults-off problem instance no matter
-  /// what the replaying process's environment says.
-  bool fault_env_override = true;
   /// Demand-class aggregation (DESIGN.md §11). The default defers to the
   /// MECSC_AGGREGATE environment variable ("off" | "on", off when
   /// unset); an explicit mode set here always wins over the
@@ -155,8 +150,8 @@ class Scenario {
     return fault_injector_.get();
   }
 
-  /// Mutable injector access for live drivers (mecsc::serve attaches it
-  /// to its slot engine, which calls begin_slot per slot).
+  /// Mutable injector access for live drivers (mecsc::serve calls
+  /// begin_slot per slot and hands the state to its slot engine).
   fault::FaultInjector* mutable_fault_injector() noexcept {
     return fault_injector_.get();
   }

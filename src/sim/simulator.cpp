@@ -72,14 +72,14 @@ RunResult Simulator::run(algorithms::CachingAlgorithm& algorithm) const {
   result.slots.reserve(horizon_);
 
   SlotEngine engine(*problem_, track_regret_);
-  if (fault_injector_ != nullptr) engine.set_fault_injector(fault_injector_);
-
   for (std::size_t t = 0; t < horizon_; ++t) {
     if (before_slot_) before_slot_(t);
+    const fault::SlotFaultState* faults =
+        fault_injector_ != nullptr ? &fault_injector_->begin_slot(t) : nullptr;
     result.slots.push_back(
-        engine.step(t, algorithm, demands_->slot(t), unit_delays_[t]));
+        engine.step(t, algorithm, demands_->slot(t), unit_delays_[t], faults));
   }
-  engine.end_run();
+  if (fault_injector_ != nullptr) fault_injector_->end_run();
   if (track_regret_) result.cumulative_regret = engine.cumulative_regret();
   return result;
 }

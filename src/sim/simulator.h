@@ -70,13 +70,11 @@ class Simulator {
 
   /// Attaches a fault injector (non-owning; must outlive the simulator's
   /// runs). Per slot the simulator then installs the plan's effective
-  /// capacities before decide(), evicts cached instances from down
-  /// stations, scores requests served at a down station with the plan's
-  /// outage penalty, folds the admission-control shed penalty into the
-  /// slot delay, and censors the algorithm's bandit feedback per the
-  /// plan. Everything the injector does is precomputed from its
-  /// deterministic plan, so runs stay replayable across algorithms and
-  /// worker counts.
+  /// capacities before decide() (FaultInjector::begin_slot) and hands
+  /// the slot's realised fault state to SlotEngine::step, and restores
+  /// the static capacities after the run. Everything the injector does
+  /// is precomputed from its deterministic plan, so runs stay replayable
+  /// across algorithms and worker counts.
   void set_fault_injector(fault::FaultInjector* injector) {
     fault_injector_ = injector;
   }

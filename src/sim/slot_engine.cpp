@@ -17,69 +17,32 @@ SlotRecord SlotEngine::step(std::size_t t,
                             algorithms::CachingAlgorithm& algorithm,
                             const std::vector<double>& true_demands,
                             const std::vector<double>& unit_delays,
+                            const fault::SlotFaultState* faults,
                             bool run_decide) {
-  if (fault_injector_ == nullptr) {
-    return step_core(t, algorithm, true_demands, unit_delays, nullptr,
-                     run_decide);
-  }
-  // Install the slot's effective capacities before the algorithm
-  // decides; the shared core then handles eviction, penalties, and
-  // censoring off the plan's per-slot masks.
-  const fault::SlotFaultSummary& summary = fault_injector_->begin_slot(t);
-  const fault::SlotFaults& sf = fault_injector_->plan().slot(t);
-  FaultView view;
-  view.station_up = sf.station_up.data();
-  view.feedback_lost = sf.feedback_lost.data();
-  view.outage_penalty_factor =
-      fault_injector_->plan().options().outage_penalty_factor;
-  view.active_outages = summary.active_outages;
-  view.censored = summary.censored;
-  view.shed_requests = summary.shed_requests;
-  view.shed_penalty_ms = summary.shed_penalty_ms;
-  return step_core(t, algorithm, true_demands, unit_delays, &view, run_decide);
-}
-
-SlotRecord SlotEngine::step_recorded(std::size_t t,
-                                     algorithms::CachingAlgorithm& algorithm,
-                                     const std::vector<double>& true_demands,
-                                     const std::vector<double>& unit_delays,
-                                     const SlotFaultState& faults,
-                                     bool run_decide) {
-  MECSC_CHECK_MSG(faults.station_up.size() == problem_->num_stations() &&
-                      faults.feedback_lost.size() == problem_->num_stations(),
-                  "recorded fault mask size mismatch");
-  FaultView view;
-  view.station_up = reinterpret_cast<const char*>(faults.station_up.data());
-  view.feedback_lost =
-      reinterpret_cast<const char*>(faults.feedback_lost.data());
-  view.outage_penalty_factor = faults.outage_penalty_factor;
-  for (std::uint8_t up : faults.station_up) {
-    if (up == 0) ++view.active_outages;
-  }
-  for (std::uint8_t lost : faults.feedback_lost) {
-    if (lost != 0) ++view.censored;
-  }
-  view.shed_requests = faults.shed_requests;
-  view.shed_penalty_ms = faults.shed_penalty_ms;
-  return step_core(t, algorithm, true_demands, unit_delays, &view, run_decide);
-}
-
-SlotRecord SlotEngine::step_core(std::size_t t,
-                                 algorithms::CachingAlgorithm& algorithm,
-                                 const std::vector<double>& true_demands,
-                                 const std::vector<double>& unit_delays,
-                                 const FaultView* faults, bool run_decide) {
+  const std::size_t ns = problem_->num_stations();
   MECSC_CHECK_MSG(true_demands.size() == problem_->num_requests(),
                   "demand snapshot size mismatch");
-  MECSC_CHECK_MSG(unit_delays.size() == problem_->num_stations(),
-                  "unit delay vector size mismatch");
+  MECSC_CHECK_MSG(unit_delays.size() == ns, "unit delay vector size mismatch");
   const bool telemetry = obs::enabled();
+  std::size_t active_outages = 0;
+  std::size_t censored = 0;
   std::size_t evictions = 0;
   if (faults != nullptr) {
+    MECSC_CHECK_MSG(faults->station_up.size() == ns &&
+                        faults->feedback_lost.size() == ns &&
+                        faults->effective_capacity_mhz.size() == ns,
+                    "fault state size mismatch");
+    for (std::size_t i = 0; i < ns; ++i) {
+      MECSC_CHECK_MSG(
+          problem_->station_capacity_mhz(i) == faults->effective_capacity_mhz[i],
+          "fault state capacities are not the installed ones");
+      if (faults->station_up[i] == 0) ++active_outages;
+      if (faults->feedback_lost[i] != 0) ++censored;
+    }
     // Evict every cached instance sitting on a down station — its
     // re-instantiation after recovery is then naturally re-charged
     // d_ins by the incremental accounting.
-    for (std::size_t i = 0; i < problem_->num_stations(); ++i) {
+    for (std::size_t i = 0; i < ns; ++i) {
       if (faults->station_up[i] != 0) continue;
       for (auto& row : prev_cached_) {
         if (row[i]) {
@@ -92,7 +55,7 @@ SlotRecord SlotEngine::step_core(std::size_t t,
       MECSC_COUNT("fault.evictions", static_cast<double>(evictions));
     }
     MECSC_GAUGE_SET("fault.active_outages",
-                    static_cast<double>(faults->active_outages));
+                    static_cast<double>(active_outages));
   }
   // Every slot's phases are timed into its span timeline; the record's
   // decision_time_ms is derived from the "algo.decide" span so the two
@@ -141,10 +104,10 @@ SlotRecord SlotEngine::step_core(std::size_t t,
     const double nr = static_cast<double>(problem_->num_requests());
     rec.avg_delay_ms += faults->shed_penalty_ms / nr;
     rec.avg_delay_incremental_ms += faults->shed_penalty_ms / nr;
-    rec.fault_active_outages = faults->active_outages;
+    rec.fault_active_outages = active_outages;
     rec.fault_evictions = evictions;
     rec.fault_shed_requests = faults->shed_requests;
-    rec.fault_censored_feedback = faults->censored;
+    rec.fault_censored_feedback = censored;
     rec.fault_shed_penalty_ms = faults->shed_penalty_ms;
     if (faults->shed_requests > 0) {
       MECSC_COUNT("fault.shed_requests",
@@ -159,7 +122,7 @@ SlotRecord SlotEngine::step_core(std::size_t t,
     obs::TimelineSpan span(timeline.get(), "sim.observe");
     if (regret_) regret_->record(pre_penalty_delay, true_demands, *delays);
     const std::vector<double>* observed = delays;
-    if (faults != nullptr && faults->censored > 0) {
+    if (censored > 0) {
       // Censored bandit feedback: the lost d_i(t) reach the algorithm
       // as NaN and must be skipped, not averaged.
       censored_delays_ = *delays;
@@ -169,8 +132,7 @@ SlotRecord SlotEngine::step_core(std::size_t t,
         }
       }
       observed = &censored_delays_;
-      MECSC_COUNT("fault.censored_feedback",
-                  static_cast<double>(faults->censored));
+      MECSC_COUNT("fault.censored_feedback", static_cast<double>(censored));
     }
     algorithm.observe(t, decision_, true_demands, *observed);
   }
@@ -199,10 +161,6 @@ SlotRecord SlotEngine::step_core(std::size_t t,
     }
   }
   return rec;
-}
-
-void SlotEngine::end_run() {
-  if (fault_injector_ != nullptr) fault_injector_->end_run();
 }
 
 }  // namespace mecsc::sim

@@ -1,7 +1,6 @@
 #ifndef MECSC_SIM_SLOT_ENGINE_H
 #define MECSC_SIM_SLOT_ENGINE_H
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -28,7 +27,7 @@ struct SlotRecord {
   double decision_time_ms = 0.0;
   /// Total MHz by which the decision exceeded station capacities.
   double capacity_violation_mhz = 0.0;
-  /// Stations down this slot (zero when no fault injector is set).
+  /// Stations down this slot (zero when the slot ran without faults).
   std::size_t fault_active_outages = 0;
   /// Cached instances lost to outages this slot.
   std::size_t fault_evictions = 0;
@@ -47,19 +46,6 @@ struct SlotRecord {
   std::shared_ptr<const obs::SlotTimeline> timeline;
 };
 
-/// Realised fault state of one slot, decoupled from a live FaultPlan —
-/// what a serve trace's fault block carries (trace_io's kSlotFlagFaults)
-/// and what step_recorded() replays. One byte per station in the masks
-/// (nonzero = up / censored); the shed fields are the fault subsystem's
-/// admission-control accounting for the slot.
-struct SlotFaultState {
-  std::vector<std::uint8_t> station_up;     ///< Per station, nonzero = up.
-  std::vector<std::uint8_t> feedback_lost;  ///< Per station, nonzero = censored.
-  double outage_penalty_factor = 1.0;       ///< Delay multiplier at down stations.
-  std::uint32_t shed_requests = 0;          ///< Admission-shed requests.
-  double shed_penalty_ms = 0.0;             ///< Shed penalty (pre-averaging).
-};
-
 /// Cross-slot engine state a checkpoint captures: the latest committed
 /// decision and the previous caching set the incremental accounting
 /// compares against.
@@ -72,17 +58,19 @@ struct SlotEngineState {
 /// The per-slot decision protocol (paper §III), extracted from the batch
 /// simulator so live drivers can reuse it verbatim: given slot t's true
 /// demands and realised unit delays, run the algorithm's decide(), score
-/// the decision ex post (Eq. 3 with realised values), apply the fault
-/// plan's per-slot effects when an injector is attached, and reveal the
-/// slot's ground truth to the algorithm.
+/// the decision ex post (Eq. 3 with realised values), apply the slot's
+/// realised fault state when one is given, and reveal the slot's ground
+/// truth to the algorithm.
 ///
 /// One engine instance carries the cross-slot state of a run (previous
 /// caching set for incremental accounting, fault eviction bookkeeping,
 /// optional regret tracker). sim::Simulator::run drives one engine over a
 /// pre-realised demand matrix; mecsc::serve drives one over live demand
-/// snapshots closed by a wall-clock slot scheduler. Both paths execute
-/// the identical operation sequence, which is what makes a recorded live
-/// trace replayable through the batch simulator bit-for-bit.
+/// snapshots closed by a wall-clock slot scheduler; serve::replay_trace
+/// drives one over a recorded trace. All three call the one step() —
+/// live runs with the fault injector's state, replay with the state the
+/// trace recorded — which is what makes a recorded live trace replay
+/// bit-for-bit.
 class SlotEngine {
  public:
   /// Binds the engine to a problem instance (non-owning; must outlive
@@ -91,40 +79,29 @@ class SlotEngine {
   explicit SlotEngine(const core::CachingProblem& problem,
                       bool track_regret = false);
 
-  /// Attaches a fault injector (non-owning; must outlive the engine).
-  /// Per slot the engine then installs the plan's effective capacities
-  /// before decide(), evicts cached instances from down stations, scores
-  /// requests served at a down station with the plan's outage penalty,
-  /// folds the admission-control shed penalty into the slot delay, and
-  /// censors the algorithm's bandit feedback per the plan.
-  void set_fault_injector(fault::FaultInjector* injector) {
-    fault_injector_ = injector;
-  }
-
   /// Runs the full slot protocol for slot `t`: decide → score → observe.
-  /// Slots must be stepped in increasing order within one run. With
-  /// `run_decide` false the engine skips the algorithm's decide() and
-  /// re-commits the previous slot's placement verbatim (the watchdog's
-  /// last resort; requires a prior decision), still scoring and
-  /// observing the slot normally.
+  /// Slots must be stepped in increasing order within one run.
+  ///
+  /// With `faults` non-null the slot runs under that realised fault
+  /// state, whose effective capacities the caller must already have
+  /// installed into the problem (FaultInjector::begin_slot does; replay
+  /// installs the recorded ones): the engine evicts cached instances
+  /// from down stations, scores requests served at a down station with
+  /// the outage penalty, folds the admission-control shed penalty into
+  /// the slot delay, and censors the algorithm's bandit feedback. A
+  /// state whose masks or capacities do not match the problem's station
+  /// count, or whose capacities are not the installed ones, throws
+  /// common::InvalidArgument.
+  ///
+  /// With `run_decide` false the engine skips the algorithm's decide()
+  /// and re-commits the previous slot's placement verbatim (the
+  /// watchdog's last resort; requires a prior decision), still scoring
+  /// and observing the slot normally.
   SlotRecord step(std::size_t t, algorithms::CachingAlgorithm& algorithm,
                   const std::vector<double>& true_demands,
                   const std::vector<double>& unit_delays,
+                  const fault::SlotFaultState* faults = nullptr,
                   bool run_decide = true);
-
-  /// step() against a *recorded* fault state instead of an attached
-  /// injector — the replay side of fault-trace composition. The caller
-  /// is responsible for installing `faults.effective_capacity` into the
-  /// problem (core::CachingProblem::set_station_capacities) before the
-  /// call, exactly like FaultInjector::begin_slot does on the live side;
-  /// the engine handles eviction, outage penalties, shed folding, and
-  /// feedback censoring from the recorded masks.
-  SlotRecord step_recorded(std::size_t t,
-                           algorithms::CachingAlgorithm& algorithm,
-                           const std::vector<double>& true_demands,
-                           const std::vector<double>& unit_delays,
-                           const SlotFaultState& faults,
-                           bool run_decide = true);
 
   /// The integral decision of the latest step() (valid after the first).
   const core::Assignment& last_decision() const noexcept { return decision_; }
@@ -146,10 +123,6 @@ class SlotEngine {
     prev_cached_ = state.prev_cached;
   }
 
-  /// Restores the problem's full static capacities (when a fault
-  /// injector is attached). Call once after the run's last step.
-  void end_run();
-
   /// Cumulative regret series recorded so far (empty unless
   /// track_regret was set).
   std::vector<double> cumulative_regret() const {
@@ -157,26 +130,7 @@ class SlotEngine {
   }
 
  private:
-  /// Uniform view over live (injector) and recorded fault state, so the
-  /// two step paths share one slot-protocol implementation. Null masks
-  /// mean "no faults this slot".
-  struct FaultView {
-    const char* station_up = nullptr;     // per station, nonzero = up
-    const char* feedback_lost = nullptr;  // per station, nonzero = lost
-    double outage_penalty_factor = 1.0;
-    std::size_t active_outages = 0;
-    std::size_t censored = 0;
-    std::size_t shed_requests = 0;
-    double shed_penalty_ms = 0.0;
-  };
-
-  SlotRecord step_core(std::size_t t, algorithms::CachingAlgorithm& algorithm,
-                       const std::vector<double>& true_demands,
-                       const std::vector<double>& unit_delays,
-                       const FaultView* faults, bool run_decide);
-
   const core::CachingProblem* problem_;
-  fault::FaultInjector* fault_injector_ = nullptr;
   std::optional<core::RegretTracker> regret_;
   core::Assignment decision_;
   bool has_decision_ = false;

@@ -72,6 +72,15 @@ TEST(Rng, BernoulliExtremes) {
   }
 }
 
+TEST(Rng, ZeroStddevNormalReturnsMeanWithoutADraw) {
+  // Noise-free workloads pass sigma 0, which std::normal_distribution
+  // rejects; the draw is the mean and the stream does not advance.
+  Rng a(11);
+  Rng b(11);
+  EXPECT_EQ(a.normal(3.5, 0.0), 3.5);
+  EXPECT_EQ(a.uniform(), b.uniform());
+}
+
 TEST(Rng, BernoulliFrequency) {
   Rng rng(11);
   int hits = 0;

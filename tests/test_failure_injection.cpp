@@ -3,8 +3,10 @@
 // (single station, zero bursty demand, delay spikes, tiny GANs, ...).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "predict/gan_predictor.h"
 #include "sim/replication.h"
 #include "sim/scenario.h"
+#include "sim/slot_engine.h"
 
 namespace mecsc {
 namespace {
@@ -316,6 +319,25 @@ sim::ScenarioParams churn_params(std::uint64_t seed) {
   return p;
 }
 
+TEST(FaultInjection, ExplicitModeWinsOverEnvironment) {
+  setenv("MECSC_FAULTS", "churn", 1);
+  EXPECT_EQ(fault::resolve_fault_mode(fault::FaultMode::kOff),
+            fault::FaultMode::kOff);
+  EXPECT_EQ(fault::resolve_fault_mode(fault::FaultMode::kEnv),
+            fault::FaultMode::kChurn);
+  // A scenario pinned off builds no injector whatever the environment.
+  sim::ScenarioParams p = churn_params(61);
+  p.fault.mode = fault::FaultMode::kOff;
+  EXPECT_EQ(sim::Scenario(p).fault_injector(), nullptr);
+  setenv("MECSC_FAULTS", "off", 1);
+  EXPECT_EQ(fault::resolve_fault_mode(fault::FaultMode::kChurn),
+            fault::FaultMode::kChurn);
+  EXPECT_NE(sim::Scenario(churn_params(61)).fault_injector(), nullptr);
+  unsetenv("MECSC_FAULTS");
+  EXPECT_EQ(fault::resolve_fault_mode(fault::FaultMode::kEnv),
+            fault::FaultMode::kOff);
+}
+
 TEST(FaultInjection, PlanIsDeterministic) {
   common::Rng rng(43);
   net::GtItmParams gp;
@@ -346,7 +368,7 @@ TEST(FaultInjection, PlanKeepsOneStationUpEvenUnderBrutalChurn) {
   EXPECT_LT(plan.availability(), 0.5);
   for (std::size_t t = 0; t < plan.horizon(); ++t) {
     bool any_up = false;
-    for (char c : plan.slot(t).station_up) any_up |= (c != 0);
+    for (std::uint8_t c : plan.slot(t).station_up) any_up |= (c != 0);
     EXPECT_TRUE(any_up) << "slot " << t << " lost every station";
   }
 }
@@ -502,6 +524,154 @@ TEST(FaultInjection, DegradedSolveKeepsAssignmentsComplete) {
     for (double v : sol.x[l]) sum += v;
     EXPECT_NEAR(sum, 1.0, 1e-6);
   }
+}
+
+/// A churn run driven through the injector as Simulator::run drives it,
+/// keeping every slot's realised fault state.
+struct RecordedChurnRun {
+  std::unique_ptr<sim::Scenario> scenario;
+  std::vector<fault::SlotFaultState> states;
+  std::vector<sim::SlotRecord> records;
+  std::vector<core::Assignment> decisions;
+};
+
+algorithms::OlOptions replay_options(const sim::Scenario& s,
+                                     core::SolverTier tier,
+                                     core::AggregateMode aggregate) {
+  algorithms::OlOptions opt;
+  opt.theta_prior = s.theta_prior();
+  opt.solver = tier;
+  opt.aggregate = aggregate;
+  return opt;
+}
+
+RecordedChurnRun record_churn_run(std::uint64_t seed, core::SolverTier tier,
+                                  core::AggregateMode aggregate) {
+  RecordedChurnRun run;
+  run.scenario = std::make_unique<sim::Scenario>(churn_params(seed));
+  sim::Scenario& s = *run.scenario;
+  fault::FaultInjector* injector = s.mutable_fault_injector();
+  if (injector == nullptr) {
+    ADD_FAILURE() << "churn scenario built no fault injector";
+    return run;
+  }
+  algorithms::OnlineCachingAlgorithm algo(
+      "OL_GD", s.problem(), &s.demands(), replay_options(s, tier, aggregate),
+      s.algorithm_seed(0));
+  sim::SlotEngine engine(s.problem());
+  for (std::size_t t = 0; t < s.params().horizon; ++t) {
+    const fault::SlotFaultState& state = injector->begin_slot(t);
+    run.states.push_back(state);
+    run.records.push_back(engine.step(t, algo, s.demands().slot(t),
+                                      s.simulator().unit_delays(t), &state));
+    run.decisions.push_back(engine.last_decision());
+  }
+  injector->end_run();
+  return run;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// The batch side of record → replay: the recorded states alone, stepped
+// on the faults-off twin instance (same topology, workload and delays by
+// construction) over the churn run's demand matrix, reproduce every
+// non-timing SlotRecord field and every decision bit for bit.
+void expect_recorded_states_replay(core::SolverTier tier,
+                                   core::AggregateMode aggregate) {
+  const RecordedChurnRun live = record_churn_run(505, tier, aggregate);
+  const sim::Scenario& churn = *live.scenario;
+  sim::ScenarioParams off = churn_params(505);
+  off.fault.mode = fault::FaultMode::kOff;
+  sim::Scenario twin(off);
+  ASSERT_EQ(twin.fault_injector(), nullptr);
+
+  algorithms::OnlineCachingAlgorithm algo(
+      "OL_GD", twin.problem(), &churn.demands(),
+      replay_options(twin, tier, aggregate), twin.algorithm_seed(0));
+  sim::SlotEngine engine(twin.problem());
+  std::size_t outages = 0, censored = 0;
+  for (std::size_t t = 0; t < live.states.size(); ++t) {
+    SCOPED_TRACE("slot " + std::to_string(t));
+    twin.mutable_problem().set_station_capacities(
+        live.states[t].effective_capacity_mhz);
+    const sim::SlotRecord r =
+        engine.step(t, algo, churn.demands().slot(t),
+                    twin.simulator().unit_delays(t), &live.states[t]);
+    const sim::SlotRecord& want = live.records[t];
+    EXPECT_TRUE(same_bits(r.avg_delay_ms, want.avg_delay_ms));
+    EXPECT_TRUE(
+        same_bits(r.avg_delay_incremental_ms, want.avg_delay_incremental_ms));
+    EXPECT_TRUE(
+        same_bits(r.capacity_violation_mhz, want.capacity_violation_mhz));
+    EXPECT_EQ(r.fault_active_outages, want.fault_active_outages);
+    EXPECT_EQ(r.fault_evictions, want.fault_evictions);
+    EXPECT_EQ(r.fault_shed_requests, want.fault_shed_requests);
+    EXPECT_EQ(r.fault_censored_feedback, want.fault_censored_feedback);
+    EXPECT_TRUE(same_bits(r.fault_shed_penalty_ms, want.fault_shed_penalty_ms));
+    EXPECT_EQ(engine.last_decision().station_of_request,
+              live.decisions[t].station_of_request);
+    EXPECT_EQ(engine.last_decision().cached, live.decisions[t].cached);
+    outages += r.fault_active_outages;
+    censored += r.fault_censored_feedback;
+  }
+  // The run really exercised the fault arithmetic.
+  EXPECT_GT(outages, 0u);
+  EXPECT_GT(censored, 0u);
+}
+
+TEST(FaultInjection, RecordedStatesReplayBitwiseOnFlow) {
+  expect_recorded_states_replay(core::SolverTier::kFlow,
+                                core::AggregateMode::kOff);
+}
+
+TEST(FaultInjection, RecordedStatesReplayBitwiseOnLagrangianAggregated) {
+  expect_recorded_states_replay(core::SolverTier::kLagrangian,
+                                core::AggregateMode::kOn);
+}
+
+TEST(FaultInjection, StepRejectsMismatchedFaultStates) {
+  const RecordedChurnRun live = record_churn_run(
+      505, core::SolverTier::kFlow, core::AggregateMode::kOff);
+  const sim::Scenario& churn = *live.scenario;
+  sim::ScenarioParams off = churn_params(505);
+  off.fault.mode = fault::FaultMode::kOff;
+  sim::Scenario twin(off);
+  algorithms::OnlineCachingAlgorithm algo(
+      "OL_GD", twin.problem(), &churn.demands(), algorithms::OlOptions{},
+      twin.algorithm_seed(0));
+  sim::SlotEngine engine(twin.problem());
+  const std::vector<double>& delays = twin.simulator().unit_delays(0);
+
+  // A mask or capacity vector of the wrong size.
+  for (int field = 0; field < 3; ++field) {
+    fault::SlotFaultState state = live.states[0];
+    twin.mutable_problem().set_station_capacities(state.effective_capacity_mhz);
+    if (field == 0) state.station_up.pop_back();
+    if (field == 1) state.feedback_lost.push_back(0);
+    if (field == 2) state.effective_capacity_mhz.pop_back();
+    EXPECT_THROW(engine.step(0, algo, churn.demands().slot(0), delays, &state),
+                 common::InvalidArgument)
+        << "field " << field;
+  }
+
+  // A state whose (derated) capacities were never installed: the problem
+  // still carries the static capacities.
+  twin.mutable_problem().reset_station_capacities();
+  const auto derated = std::find_if(
+      live.states.begin(), live.states.end(), [&](const auto& state) {
+        for (std::size_t i = 0; i < state.effective_capacity_mhz.size(); ++i) {
+          if (state.effective_capacity_mhz[i] !=
+              twin.problem().station_capacity_mhz(i)) {
+            return true;
+          }
+        }
+        return false;
+      });
+  ASSERT_NE(derated, live.states.end());
+  EXPECT_THROW(engine.step(0, algo, churn.demands().slot(0), delays, &*derated),
+               common::InvalidArgument);
 }
 
 TEST(FaultInjection, FaultRunsBitwiseIdenticalAcrossWorkers) {

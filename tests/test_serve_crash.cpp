@@ -105,12 +105,14 @@ void expect_same_records_modulo_timing(const std::string& path_a,
     EXPECT_EQ(a[t].shed_penalty_ms, b[t].shed_penalty_ms);
     EXPECT_EQ(a[t].avg_delay_ms, b[t].avg_delay_ms);
     EXPECT_EQ(a[t].flags, b[t].flags);
-    EXPECT_EQ(a[t].station_up, b[t].station_up);
-    EXPECT_EQ(a[t].feedback_lost, b[t].feedback_lost);
-    EXPECT_EQ(a[t].effective_capacity_mhz, b[t].effective_capacity_mhz);
-    EXPECT_EQ(a[t].outage_penalty_factor, b[t].outage_penalty_factor);
-    EXPECT_EQ(a[t].fault_shed_requests, b[t].fault_shed_requests);
-    EXPECT_EQ(a[t].fault_shed_penalty_ms, b[t].fault_shed_penalty_ms);
+    EXPECT_EQ(a[t].faults.station_up, b[t].faults.station_up);
+    EXPECT_EQ(a[t].faults.feedback_lost, b[t].faults.feedback_lost);
+    EXPECT_EQ(a[t].faults.effective_capacity_mhz,
+              b[t].faults.effective_capacity_mhz);
+    EXPECT_EQ(a[t].faults.outage_penalty_factor,
+              b[t].faults.outage_penalty_factor);
+    EXPECT_EQ(a[t].faults.shed_requests, b[t].faults.shed_requests);
+    EXPECT_EQ(a[t].faults.shed_penalty_ms, b[t].faults.shed_penalty_ms);
   }
 }
 
